@@ -305,12 +305,13 @@ CampaignRunResult run_with_resubmission(sim::Simulation& sim,
   return result;
 }
 
-ResumeReport resume_campaign(sim::Simulation& sim,
-                             const std::vector<sim::TaskSpec>& manifest_tasks,
-                             const CampaignRunOptions& options,
-                             RunTracker& tracker,
-                             const std::string& journal_path,
-                             const std::string& campaign_name) {
+CampaignJournal recover_campaign(sim::Simulation& sim,
+                                 const std::vector<sim::TaskSpec>& manifest_tasks,
+                                 const CampaignRunOptions& options,
+                                 RunTracker& tracker,
+                                 const std::string& journal_path,
+                                 const std::string& campaign_name,
+                                 ResumeReport* report) {
   if (options.preflight_lint) {
     // Lint the journal text before committing to a replay: every problem
     // is reported at once with file:line locations, instead of replay()
@@ -448,15 +449,13 @@ ResumeReport resume_campaign(sim::Simulation& sim,
     if (options.journal.compact_after_checkpoint) journal.compact();
   }
 
-  std::vector<sim::TaskSpec> incomplete;
   for (const sim::TaskSpec& task : manifest_tasks) {
     if (tracker.has_run(task.id)) {
       const RunTracker::RunStatus status = tracker.status(task.id);
       if (status.state == "done" || status.state == "exhausted") continue;
     }
-    incomplete.push_back(task);
+    ++out.incomplete;
   }
-  out.incomplete = incomplete.size();
   out.resumed_at_s = sim.now();
   if (obs::tracing_enabled()) {
     obs::trace_instant("savanna", "savanna.journal.resume",
@@ -464,7 +463,22 @@ ResumeReport resume_campaign(sim::Simulation& sim,
                         {"replayed", out.allocations_replayed},
                         {"torn", out.torn_tail}});
   }
-  out.result = run_with_resubmission(sim, incomplete, options, &tracker, &journal);
+  if (report) *report = std::move(out);
+  return journal;
+}
+
+ResumeReport resume_campaign(sim::Simulation& sim,
+                             const std::vector<sim::TaskSpec>& manifest_tasks,
+                             const CampaignRunOptions& options,
+                             RunTracker& tracker,
+                             const std::string& journal_path,
+                             const std::string& campaign_name) {
+  ResumeReport out;
+  CampaignJournal journal = recover_campaign(
+      sim, manifest_tasks, options, tracker, journal_path, campaign_name, &out);
+  // The runner skips every run the replayed tracker holds as done/exhausted.
+  out.result =
+      run_with_resubmission(sim, manifest_tasks, options, &tracker, &journal);
   return out;
 }
 

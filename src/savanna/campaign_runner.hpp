@@ -62,7 +62,7 @@ struct CampaignRunOptions {
   size_t max_allocations = 0;
   RetryPolicy retry;
   JournalPolicy journal;
-  /// resume_campaign() lints the journal before replaying it (schema
+  /// recover_campaign() lints the journal before replaying it (schema
   /// drift, corrupt interior lines, a second header, ...) and throws
   /// ValidationError listing every finding instead of failing midway
   /// through replay on the first one. Torn tails stay notes — resume
@@ -112,7 +112,7 @@ CampaignRunResult run_with_resubmission(sim::Simulation& sim,
                                         RunTracker* tracker = nullptr,
                                         CampaignJournal* journal = nullptr);
 
-/// What resume_campaign recovered before re-entering the runner.
+/// What recover_campaign recovered before the runner re-enters.
 struct ResumeReport {
   size_t allocations_replayed = 0;  // alloc records replayed (checkpoint tail)
   size_t checkpoint_runs = 0;       // runs restored from a checkpoint record
@@ -122,17 +122,32 @@ struct ResumeReport {
   CampaignRunResult result;        // the re-entered runner's result
 };
 
-/// Crash-consistent campaign resumption: replay the journal at
-/// `journal_path`, reconcile it against the campaign's task list (from the
-/// manifest), rebuild `tracker`, restore the virtual clock, and re-enter
-/// run_with_resubmission with only the incomplete runs. The combined
-/// provenance in `tracker` is byte-identical to an uninterrupted run
-/// (enforced by tests/savanna/crash_resume_test).
+/// The recovery half of resume_campaign: lint the journal at
+/// `journal_path` (unless `options.preflight_lint` is off), replay it into
+/// `tracker`, reconcile it against the campaign's task list (from the
+/// manifest), restore the virtual clock in `sim`, re-establish the
+/// checkpoint cadence, and return the journal open for append. What was
+/// recovered goes to `report` when given (its `result` stays empty).
+/// run_with_resubmission on the same sim/tracker/journal then continues
+/// the campaign; fairflowd recovers an adopted campaign once this way and
+/// runs every later slice in memory.
 ///
 /// A missing or headerless journal means the campaign never started: the
-/// journal is (re)created and every run executes. A journal referencing
-/// runs absent from `manifest_tasks` throws ValidationError — the journal
-/// and manifest belong to different campaigns.
+/// journal is (re)created. A journal referencing runs absent from
+/// `manifest_tasks` throws ValidationError — the journal and manifest
+/// belong to different campaigns.
+CampaignJournal recover_campaign(sim::Simulation& sim,
+                                 const std::vector<sim::TaskSpec>& manifest_tasks,
+                                 const CampaignRunOptions& options,
+                                 RunTracker& tracker,
+                                 const std::string& journal_path,
+                                 const std::string& campaign_name = "campaign",
+                                 ResumeReport* report = nullptr);
+
+/// Crash-consistent campaign resumption: recover_campaign, then
+/// run_with_resubmission over the incomplete runs.
+/// The combined provenance in `tracker` is byte-identical to an
+/// uninterrupted run (enforced by tests/savanna/crash_resume_test).
 ResumeReport resume_campaign(sim::Simulation& sim,
                              const std::vector<sim::TaskSpec>& manifest_tasks,
                              const CampaignRunOptions& options,

@@ -88,6 +88,7 @@ void RunTracker::mark_started(const std::string& run_id, double time, int node) 
   run.events.push_back(EventRecord{"start", time, node, ""});
   run.last_state = "running";
   ++run.attempts;
+  ++total_attempts_;
   trace_state(run_id, "start", time, node, run.attempts - 1);
 }
 
@@ -223,10 +224,12 @@ void RunTracker::restore(const Json& records) {
     }
     Shard& shard = shards_[shard_of(run_id)];
     const std::string state = run.last_state;
+    const size_t attempts = run.attempts;
     if (!shard.runs.emplace(run_id, std::move(run)).second) {
       throw ValidationError("RunTracker: duplicate run '" + run_id + "'");
     }
     ++counts_.total;
+    total_attempts_ += attempts;
     if (state == "done") ++counts_.done;
     else if (state == "failed") ++counts_.failed;
     else if (state == "killed") ++counts_.killed;

@@ -48,6 +48,9 @@ class RunTracker {
   size_t live_runs() const noexcept { return live_; }
 
   size_t attempts(const std::string& run_id) const;
+  /// Sum of attempts() over every run — O(1), kept by mark_started and
+  /// restore.
+  size_t total_attempts() const noexcept { return total_attempts_; }
 
   /// Snapshot of one run's current position in the lifecycle — what the
   /// retry/backoff scheduler needs to decide eligibility after a resume.
@@ -110,6 +113,7 @@ class RunTracker {
   std::vector<Shard> shards_;
   Counts counts_;
   size_t live_ = 0;
+  size_t total_attempts_ = 0;
 };
 
 }  // namespace ff::savanna

@@ -14,6 +14,9 @@ namespace ff::service {
 
 namespace {
 
+/// Service events the `trace` command can return.
+constexpr size_t kTraceTail = 256;
+
 void apply_duration(CampaignConfig& config, const Json& duration) {
   sim::DurationModel& model = config.durations;
   model.median_s = duration.get_or("median_s", model.median_s);
@@ -103,6 +106,25 @@ Json config_sidecar(const CampaignConfig& config) {
   return out;
 }
 
+/// A fresh journal whose header registers `tasks` as the run set: ids
+/// inlined up to kInlineRunListMax, count + streaming digest beyond, so a
+/// 10^6-run submit never copies its id list.
+savanna::CampaignJournal create_journal(const std::string& path,
+                                        const std::string& name,
+                                        const std::vector<sim::TaskSpec>& tasks) {
+  if (tasks.size() <= savanna::kInlineRunListMax) {
+    std::vector<std::string> run_ids;
+    run_ids.reserve(tasks.size());
+    for (const sim::TaskSpec& task : tasks) run_ids.push_back(task.id);
+    return savanna::CampaignJournal::create(path, name, run_ids);
+  }
+  savanna::RunSetDigest digest;
+  for (const sim::TaskSpec& task : tasks) digest.add(task.id);
+  return savanna::CampaignJournal::create(
+      path, name,
+      savanna::CampaignJournal::RunSetSummary{digest.count(), digest.hex()});
+}
+
 }  // namespace
 
 CampaignConfig campaign_config_from_request(const Json& request) {
@@ -140,15 +162,47 @@ Json CampaignInfo::to_json() const {
 }
 
 /// One multiplexed campaign: endpoint + deterministic task list + the
-/// persistent execution state its slices accumulate into. In-memory
-/// campaigns keep a live simulation/tracker/journal across slices; a
-/// campaign adopted from disk (daemon restart, reopened journal) instead
-/// replays its journal each slice via resume_campaign — both paths produce
-/// byte-identical journals (the runner's resume equivalence).
+/// persistent simulation/tracker/journal its slices accumulate into. A
+/// campaign without an open journal (adopted from disk, or whose journal
+/// closed on a failure) is rebuilt from that journal by its next slice,
+/// once, and runs in memory from then on — byte-identical either way (the
+/// runner's resume equivalence).
 struct ServiceCore::CampaignState {
+  /// The one builder, for submit and adoption alike: walk the chosen group
+  /// lazily into the task list (a RunSpec lives only for its loop turn, so
+  /// a 10^6-run manifest never materializes its RunSpec vector), sample
+  /// durations with the campaign's seed — the determinism that makes
+  /// service and batch executions byte-identical — and fix the run options.
+  /// Throws ValidationError without sweep groups, NotFoundError for an
+  /// unknown `config.group`.
+  CampaignState(const cheetah::Campaign& campaign, const CampaignConfig& config)
+      : name(campaign.name()) {
+    if (campaign.groups().empty()) {
+      throw ValidationError("campaign '" + name + "' has no sweep groups");
+    }
+    const cheetah::SweepGroup& group = campaign.group(
+        config.group.empty() ? campaign.groups().front().name() : config.group);
+    tasks.reserve(group.run_count());
+    group.for_each_run([&](const cheetah::RunSpec& run) {
+      sim::TaskSpec task;
+      task.id = run.id;
+      tasks.push_back(std::move(task));
+    });
+    Rng rng(config.duration_seed);
+    for (sim::TaskSpec& task : tasks) {
+      task.duration_s = config.durations.sample(rng);
+    }
+    options.backend = config.backend;
+    options.retry = config.retry;
+    options.journal = config.journal;
+    options.execution.nodes =
+        config.nodes ? static_cast<int>(*config.nodes) : group.nodes();
+    options.execution.walltime_s =
+        config.walltime_s ? *config.walltime_s : group.walltime_s();
+  }
+
   std::string name;
-  std::string group;
-  std::string owner;
+  std::string owner;  // "" when adopted: no live session owns it
   std::optional<cheetah::CampaignEndpoint> endpoint;
   std::vector<sim::TaskSpec> tasks;
   savanna::CampaignRunOptions options;
@@ -156,7 +210,6 @@ struct ServiceCore::CampaignState {
   std::unique_ptr<savanna::RunTracker> tracker =
       std::make_unique<savanna::RunTracker>();
   savanna::CampaignJournal journal;
-  bool use_disk_resume = false;
   std::string state = "queued";
   size_t allocations = 0;
   std::string error;
@@ -165,9 +218,9 @@ struct ServiceCore::CampaignState {
   size_t last_terminal_runs = 0;  // done+exhausted after the previous slice
   size_t last_attempts = 0;       // total attempts after the previous slice
   // Counts as of the moment the current slice was granted. While in_flight,
-  // the slice thread owns sim/tracker/journal off-lock (the disk-resume path
-  // even reassigns the tracker pointer), so status/list must read this
-  // snapshot instead of touching the live tracker.
+  // the slice thread owns sim/tracker/journal off-lock (a recovering slice
+  // even replaces the tracker), so status/list must read this snapshot
+  // instead of touching the live tracker.
   savanna::RunTracker::Counts counts_snapshot;
 
   CampaignInfo to_info() const {
@@ -200,12 +253,6 @@ std::string ServiceCore::submit(const CampaignConfig& config,
   cheetah::Campaign campaign = cheetah::Campaign::from_json(config.manifest);
   const std::string name = campaign.name();
   if (name.empty()) throw ValidationError("submit: manifest has no name");
-  if (campaign.groups().empty()) {
-    throw ValidationError("submit: manifest has no sweep groups");
-  }
-  const std::string group_name =
-      config.group.empty() ? campaign.groups().front().name() : config.group;
-  const cheetah::SweepGroup& group = campaign.group(group_name);  // NotFound
 
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_) throw StateError("service: shutting down");
@@ -222,10 +269,6 @@ std::string ServiceCore::submit(const CampaignConfig& config,
                      " campaigns");
   }
 
-  auto state = std::make_unique<CampaignState>();
-  state->name = name;
-  state->group = group_name;
-  state->owner = session;
   // Lint-then-create: error findings throw before any directory exists, so
   // a rejected submission leaves no trace on disk. The rule run goes
   // through the shared workspace analyzer — resubmitting an already-vetted
@@ -240,73 +283,24 @@ std::string ServiceCore::submit(const CampaignConfig& config,
                           "created:\n" +
                           preflight.render_text());
   }
+  auto state = std::make_unique<CampaignState>(campaign, config);
+  state->owner = session;
   cheetah::CampaignEndpoint::CreateOptions create_options;
   create_options.lint = false;  // the analyzer just did it
   create_options.sparse_above_runs = options_.sparse_endpoint_runs;
   state->endpoint.emplace(
       cheetah::CampaignEndpoint::create(campaign, options_.root, create_options));
-
-  // The batch idiom, verbatim: task per run, durations sampled with the
-  // campaign's seed — determinism is what makes service and batch
-  // executions byte-identical. The sweep is walked with the lazy iterator:
-  // a RunSpec exists only for the loop turn that converts it to a TaskSpec,
-  // so a 10^6-run manifest never materializes its RunSpec vector here. The
-  // id list is kept only while the journal would inline it; above that the
-  // header carries count + streaming digest, and both paths write the same
-  // header bytes (ids are never inlined past kInlineRunListMax).
-  const size_t total_runs = group.run_count();
-  const bool keep_ids = total_runs <= savanna::kInlineRunListMax;
-  savanna::RunSetDigest digest;
-  std::vector<std::string> run_ids;
-  if (keep_ids) run_ids.reserve(total_runs);
-  state->tasks.reserve(total_runs);
-  group.for_each_run([&](const cheetah::RunSpec& run) {
-    digest.add(run.id);
-    if (keep_ids) run_ids.push_back(run.id);
-    sim::TaskSpec task;
-    task.id = run.id;
-    state->tasks.push_back(std::move(task));
-  });
-  {
-    Rng rng(config.duration_seed);
-    for (sim::TaskSpec& task : state->tasks) {
-      task.duration_s = config.durations.sample(rng);
-    }
-  }
-
-  state->options.backend = config.backend;
-  state->options.retry = config.retry;
-  state->options.journal = config.journal;
-  state->options.execution.nodes =
-      config.nodes ? static_cast<int>(*config.nodes) : group.nodes();
-  state->options.execution.walltime_s =
-      config.walltime_s ? *config.walltime_s : group.walltime_s();
-
-  if (keep_ids) {
-    state->journal = savanna::CampaignJournal::create(
-        state->endpoint->journal_path(), name, run_ids);
-  } else {
-    savanna::CampaignJournal::RunSetSummary run_set;
-    run_set.count = digest.count();
-    run_set.digest = digest.hex();
-    state->journal = savanna::CampaignJournal::create(
-        state->endpoint->journal_path(), name, run_set);
-  }
+  state->journal =
+      create_journal(state->endpoint->journal_path(), name, state->tasks);
   write_file_atomic(state->endpoint->directory() + "/.campaign/service.json",
                     config_sidecar(config).pretty() + "\n");
 
   const size_t runs = state->tasks.size();
   campaigns_.emplace(name, std::move(state));
-  obs::trace_instant("service", "service.campaign.submit",
-                     {{"campaign", name},
-                      {"runs", static_cast<int64_t>(runs)},
-                      {"session", session}});
-  Json event = Json::object();
-  event["event"] = "service.campaign.submit";
-  event["campaign"] = name;
-  event["runs"] = static_cast<int64_t>(runs);
-  event["session"] = session;
-  note_locked(std::move(event));
+  emit_locked("service.campaign.submit",
+              {{"campaign", name},
+               {"runs", static_cast<int64_t>(runs)},
+               {"session", session}});
   enqueue_locked(name);
   pump_locked();
   return name;
@@ -369,59 +363,25 @@ void ServiceCore::resume(const std::string& name) {
       throw StateError("service: campaign '" + name + "' already finished");
     }
     campaign.error.clear();
-    if (!campaign.journal.is_open()) campaign.use_disk_resume = true;
     set_state_locked(campaign, "queued");
     enqueue_locked(name);
     pump_locked();
     return;
   }
 
-  // Adopt a campaign this process never saw: endpoint + the service.json
-  // sidecar rebuild the deterministic task list, and every slice replays
-  // the on-disk journal (resume_campaign), continuing exactly where the
-  // previous daemon stopped.
+  // Adopt a campaign this process never saw: its manifest plus the
+  // service.json sidecar, parsed like a submit request, rebuild the
+  // deterministic task list; the first slice replays the on-disk journal
+  // and continues exactly where the previous daemon stopped.
   cheetah::CampaignEndpoint endpoint =
       cheetah::CampaignEndpoint::open(options_.root, name);
-  const Json sidecar =
+  const cheetah::Campaign campaign = endpoint.campaign();
+  Json request =
       Json::parse_file(endpoint.directory() + "/.campaign/service.json");
-  CampaignConfig config;
-  config.manifest = endpoint.campaign().to_json();
-  config.group = sidecar.get_or("group", "");
-  if (sidecar.contains("duration")) apply_duration(config, sidecar["duration"]);
-  if (sidecar.contains("execution")) apply_execution(config, sidecar["execution"]);
-  if (sidecar.contains("retry")) apply_retry(config, sidecar["retry"]);
-  if (sidecar.contains("journal")) apply_journal(config, sidecar["journal"]);
-
-  cheetah::Campaign campaign = cheetah::Campaign::from_json(config.manifest);
-  const std::string group_name =
-      config.group.empty() ? campaign.groups().front().name() : config.group;
-  const cheetah::SweepGroup& group = campaign.group(group_name);
-
-  auto state = std::make_unique<CampaignState>();
-  state->name = name;
-  state->group = group_name;
-  state->owner = "";  // recovered; no live session owns it
+  request["manifest"] = campaign.to_json();
+  auto state = std::make_unique<CampaignState>(
+      campaign, campaign_config_from_request(request));
   state->endpoint.emplace(std::move(endpoint));
-  state->tasks.reserve(group.run_count());
-  group.for_each_run([&](const cheetah::RunSpec& run) {
-    sim::TaskSpec task;
-    task.id = run.id;
-    state->tasks.push_back(std::move(task));
-  });
-  {
-    Rng rng(config.duration_seed);
-    for (sim::TaskSpec& task : state->tasks) {
-      task.duration_s = config.durations.sample(rng);
-    }
-  }
-  state->options.backend = config.backend;
-  state->options.retry = config.retry;
-  state->options.journal = config.journal;
-  state->options.execution.nodes =
-      config.nodes ? static_cast<int>(*config.nodes) : group.nodes();
-  state->options.execution.walltime_s =
-      config.walltime_s ? *config.walltime_s : group.walltime_s();
-  state->use_disk_resume = true;
   campaigns_.emplace(name, std::move(state));
   enqueue_locked(name);
   pump_locked();
@@ -522,20 +482,19 @@ void ServiceCore::run_slice(const std::string& name) {
   // arg of their own) to this campaign for subscribe streaming.
   CampaignScope stream_scope(name);
   try {
-    if (campaign->use_disk_resume) {
-      // Fresh simulation + tracker; replay rebuilds both from the journal
-      // (O(live tail) with checkpoints), then one more allocation runs.
+    if (!campaign->journal.is_open()) {
+      // Adopted, or the journal closed on a failure: rebuild simulation and
+      // tracker from the journal (O(live tail) with checkpoints), once —
+      // the journal stays open, so every later slice runs in memory.
       campaign->sim = std::make_unique<sim::Simulation>();
       campaign->tracker = std::make_unique<savanna::RunTracker>();
-      savanna::ResumeReport report = savanna::resume_campaign(
-          *campaign->sim, campaign->tasks, slice_options, *campaign->tracker,
+      campaign->journal = savanna::recover_campaign(
+          *campaign->sim, campaign->tasks, campaign->options, *campaign->tracker,
           campaign->endpoint->journal_path(), name);
-      result = std::move(report.result);
-    } else {
-      result = savanna::run_with_resubmission(*campaign->sim, campaign->tasks,
-                                              slice_options, campaign->tracker.get(),
-                                              &campaign->journal);
     }
+    result = savanna::run_with_resubmission(*campaign->sim, campaign->tasks,
+                                            slice_options, campaign->tracker.get(),
+                                            &campaign->journal);
   } catch (const std::exception& error) {
     failure = error.what();
   }
@@ -548,24 +507,13 @@ void ServiceCore::run_slice(const std::string& name) {
     set_state_locked(*campaign, "failed");
   } else {
     campaign->allocations += result.allocations_used;
-    obs::trace_instant(
-        "service", "service.slice",
-        {{"campaign", name},
-         {"alloc", static_cast<int64_t>(campaign->allocations)}});
-    Json event = Json::object();
-    event["event"] = "service.slice";
-    event["campaign"] = name;
-    event["alloc"] = static_cast<int64_t>(campaign->allocations);
-    note_locked(std::move(event));
+    emit_locked("service.slice",
+                {{"campaign", name},
+                 {"alloc", static_cast<int64_t>(campaign->allocations)}});
 
     const auto counts = campaign->tracker->counts();
     const size_t terminal = counts.done + counts.exhausted;
-    size_t attempts = 0;
-    for (const sim::TaskSpec& task : campaign->tasks) {
-      if (campaign->tracker->has_run(task.id)) {
-        attempts += campaign->tracker->attempts(task.id);
-      }
-    }
+    const size_t attempts = campaign->tracker->total_attempts();
     const bool terminal_progress = terminal != campaign->last_terminal_runs;
     const bool attempted = attempts != campaign->last_attempts;
     campaign->last_terminal_runs = terminal;
@@ -623,23 +571,20 @@ void ServiceCore::finalize_locked(CampaignState& campaign) {
 void ServiceCore::set_state_locked(CampaignState& campaign,
                                    const std::string& state) {
   campaign.state = state;
-  obs::trace_instant("service", "service.campaign.state",
-                     {{"campaign", campaign.name}, {"state", state}});
-  Json event = Json::object();
-  event["event"] = "service.campaign.state";
-  event["campaign"] = campaign.name;
-  event["state"] = state;
-  note_locked(std::move(event));
+  emit_locked("service.campaign.state",
+              {{"campaign", campaign.name}, {"state", state}});
 }
 
-void ServiceCore::note_event(Json event) {
+void ServiceCore::emit(const char* name, std::initializer_list<obs::Arg> args) {
   std::lock_guard<std::mutex> lock(mutex_);
-  note_locked(std::move(event));
+  emit_locked(name, args);
 }
 
-void ServiceCore::note_locked(Json event) {
-  events_.push_back(std::move(event));
-  while (events_.size() > options_.trace_tail) events_.pop_front();
+void ServiceCore::emit_locked(const char* name,
+                              std::initializer_list<obs::Arg> args) {
+  obs::trace_instant("service", name, args);
+  events_.push_back(event_json(name, args.begin(), args.size()));
+  if (events_.size() > kTraceTail) events_.pop_front();
 }
 
 }  // namespace ff::service

@@ -13,6 +13,7 @@
 #include "cheetah/endpoint.hpp"
 #include "cluster/workload.hpp"
 #include "lint/workspace.hpp"
+#include "obs/trace.hpp"
 #include "savanna/campaign_runner.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -78,7 +79,9 @@ struct CampaignInfo {
 /// a campaign's journal and tracker are byte-identical to an uninterrupted
 /// batch execution: slicing re-enters run_with_resubmission with
 /// max_allocations = 1 against the campaign's persistent simulation,
-/// tracker, and journal — the documented resume-path equivalence.
+/// tracker, and journal — the documented resume-path equivalence. A
+/// campaign adopted from disk is first rebuilt from its journal, once
+/// (savanna::recover_campaign), and then sliced the same way.
 class ServiceCore {
  public:
   struct Options {
@@ -88,8 +91,6 @@ class ServiceCore {
     size_t workers = 2;
     /// Quota stub: campaigns one session may own at once.
     size_t max_campaigns_per_session = 8;
-    /// Bounded tail of service events kept for the `trace` command.
-    size_t trace_tail = 256;
     /// Campaigns with more runs than this get a *sparse* endpoint (no
     /// per-run directories; see CampaignEndpoint::CreateOptions) and a
     /// digest-only journal header — the submit path for million-run
@@ -133,8 +134,11 @@ class ServiceCore {
   /// Returns false when the campaign is already terminal.
   bool cancel(const std::string& name);
 
-  /// Re-enqueue a cancelled or failed campaign; its journal is replayed by
-  /// the next slice, so execution continues where it stopped.
+  /// Re-enqueue a cancelled or failed campaign, or adopt one a previous
+  /// process left on disk (endpoint + `.campaign/service.json`). A campaign
+  /// without an open journal has it replayed once, by its next slice, so
+  /// execution continues where it stopped. Throws ValidationError when the
+  /// adopted manifest has no sweep groups.
   void resume(const std::string& name);
 
   /// Block until every live campaign reaches a terminal state (done /
@@ -151,9 +155,10 @@ class ServiceCore {
   /// Most recent service events (oldest first), newest `count` of them.
   std::vector<Json> trace_tail(size_t count) const;
 
-  /// Append one event to the bounded trace tail (the `trace` command's
-  /// source). The dispatcher records request and session events here.
-  void note_event(Json event);
+  /// Emit one `service.*` event: the obs trace instant (trace files and
+  /// `subscribe` streams) and the bounded tail behind trace_tail(), both
+  /// from the same args. The dispatcher records `service.request` here.
+  void emit(const char* name, std::initializer_list<obs::Arg> args);
 
   const Options& options() const noexcept { return options_; }
 
@@ -165,7 +170,7 @@ class ServiceCore {
   void run_slice(const std::string& name);
   void finalize_locked(CampaignState& campaign);
   void set_state_locked(CampaignState& campaign, const std::string& state);
-  void note_locked(Json event);
+  void emit_locked(const char* name, std::initializer_list<obs::Arg> args);
 
   Options options_;
   lint::WorkspaceAnalyzer analyzer_;  // own lock, ordered after mutex_

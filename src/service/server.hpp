@@ -77,7 +77,7 @@ class Server {
     /// Seconds without a complete frame before an unsubscribed connection
     /// is dropped (0 disables; the default).
     double idle_timeout_s = 0.0;
-    /// Per-subscriber event ring capacity (frames), drop-oldest.
+    /// Per-subscriber event queue capacity (frames), drop-oldest.
     size_t subscriber_buffer = 1024;
   };
 

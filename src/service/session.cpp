@@ -147,15 +147,9 @@ Json Dispatcher::handle_subscribe(const std::string& session,
     reply = error_reply(id, "internal", error.what());
   }
 
-  const bool ok = reply.get_or("ok", false);
-  obs::trace_instant("service", "service.request",
-                     {{"session", session}, {"cmd", "subscribe"}, {"ok", ok}});
-  Json event = Json::object();
-  event["event"] = "service.request";
-  event["session"] = session;
-  event["cmd"] = "subscribe";
-  event["ok"] = ok;
-  core_.note_event(std::move(event));
+  core_.emit("service.request", {{"session", session},
+                                 {"cmd", "subscribe"},
+                                 {"ok", reply.get_or("ok", false)}});
   return reply;
 }
 
@@ -194,15 +188,9 @@ Json Dispatcher::handle(const std::string& session, const Json& request) {
     reply = error_reply(id, "internal", error.what());
   }
 
-  const bool ok = reply.get_or("ok", false);
-  obs::trace_instant("service", "service.request",
-                     {{"session", session}, {"cmd", cmd}, {"ok", ok}});
-  Json event = Json::object();
-  event["event"] = "service.request";
-  event["session"] = session;
-  event["cmd"] = cmd;
-  event["ok"] = ok;
-  core_.note_event(std::move(event));
+  core_.emit("service.request", {{"session", session},
+                                 {"cmd", cmd},
+                                 {"ok", reply.get_or("ok", false)}});
   return reply;
 }
 

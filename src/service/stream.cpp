@@ -1,10 +1,10 @@
 #include "service/stream.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 #include "service/protocol.hpp"
-#include "stream/data.hpp"
 
 namespace ff::service {
 
@@ -12,15 +12,13 @@ namespace {
 
 thread_local std::string t_campaign_scope;
 
-/// One drained batch per loop turn; bounds how long a single busy
-/// subscriber can hold the server's event-delivery step.
-constexpr size_t kMaxArgsJson = obs::kMaxArgs;
+}  // namespace
 
-Json event_to_json(const obs::TraceEvent& event) {
+Json event_json(const char* name, const obs::Arg* args, size_t count) {
   Json out = Json::object();
-  out["event"] = std::string(event.name);
-  for (size_t i = 0; i < event.arg_count && i < kMaxArgsJson; ++i) {
-    const obs::Arg& arg = event.args[i];
+  out["event"] = std::string(name);
+  for (size_t i = 0; i < count; ++i) {
+    const obs::Arg& arg = args[i];
     switch (arg.type) {
       case obs::Arg::Type::Int: out[arg.key] = arg.int_value; break;
       case obs::Arg::Type::Float: out[arg.key] = arg.float_value; break;
@@ -29,8 +27,6 @@ Json event_to_json(const obs::TraceEvent& event) {
   }
   return out;
 }
-
-}  // namespace
 
 TraceStreamer& TraceStreamer::instance() {
   static TraceStreamer streamer;
@@ -41,10 +37,7 @@ uint64_t TraceStreamer::attach(const std::string& campaign, size_t capacity,
                                std::function<void()> wake) {
   auto sub = std::make_shared<Subscription>();
   sub->campaign = campaign;
-  // Mpmc: publishers are arbitrary emitting threads, the consumer is the
-  // server loop, and DropOldest eviction happens on the producer side.
-  sub->ring = stream::make_channel(stream::ChannelKind::Mpmc,
-                                   capacity > 0 ? capacity : 1);
+  sub->capacity = capacity > 0 ? capacity : 1;
   sub->wake = std::move(wake);
   uint64_t id = 0;
   {
@@ -59,15 +52,10 @@ uint64_t TraceStreamer::attach(const std::string& campaign, size_t capacity,
 }
 
 void TraceStreamer::detach(uint64_t id) {
-  std::shared_ptr<Subscription> sub;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = subs_.find(id);
-    if (it == subs_.end()) return;
-    sub = std::move(it->second);
-    subs_.erase(it);
+    if (subs_.erase(id) == 0) return;
   }
-  sub->ring->close();
   update_listener();
 }
 
@@ -86,36 +74,34 @@ void TraceStreamer::update_listener() {
   }
 }
 
-std::shared_ptr<TraceStreamer::Subscription> TraceStreamer::find(
-    uint64_t id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+TraceStreamer::Subscription* TraceStreamer::find_locked(uint64_t id) const {
   auto it = subs_.find(id);
-  return it == subs_.end() ? nullptr : it->second;
+  return it == subs_.end() ? nullptr : it->second.get();
 }
 
 size_t TraceStreamer::drain(uint64_t id, std::vector<std::string>& out,
                             size_t max) {
-  std::shared_ptr<Subscription> sub = find(id);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Subscription* sub = find_locked(id);
   if (!sub) return 0;
-  std::vector<stream::Record> records;
-  const size_t taken = sub->ring->drain_into(records, max);
-  for (stream::Record& record : records) {
-    if (record.values.empty()) continue;
-    if (auto* frame = std::get_if<std::string>(&record.values[0])) {
-      out.push_back(std::move(*frame));
-    }
+  const size_t taken = std::min(max, sub->frames.size());
+  for (size_t i = 0; i < taken; ++i) {
+    out.push_back(std::move(sub->frames.front()));
+    sub->frames.pop_front();
   }
   return taken;
 }
 
 bool TraceStreamer::has_pending(uint64_t id) const {
-  std::shared_ptr<Subscription> sub = find(id);
-  return sub && sub->ring->size() > 0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const Subscription* sub = find_locked(id);
+  return sub && !sub->frames.empty();
 }
 
 uint64_t TraceStreamer::dropped(uint64_t id) const {
-  std::shared_ptr<Subscription> sub = find(id);
-  return sub ? sub->ring->dropped() : 0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const Subscription* sub = find_locked(id);
+  return sub ? sub->dropped : 0;
 }
 
 size_t TraceStreamer::active() const {
@@ -145,14 +131,15 @@ void TraceStreamer::publish(const std::string& campaign, const Json& event) {
     message["seq"] = static_cast<int64_t>(seq);
     message["event"] = event;
     frame = encode_frame(message);
-    // Offers stay under the lock so ring order always matches seq order
-    // (two racing publishers must not swap); only the wake callbacks —
-    // which may take foreign locks — run outside it.
-    stream::Record record;
-    record.sequence = seq;
-    record.values.emplace_back(frame);
+    // Queue under the lock so every queue's order matches seq order (two
+    // racing publishers must not swap); only the wake callbacks — which
+    // may take foreign locks — run outside it.
     for (const auto& sub : targets) {
-      sub->ring->offer(record, stream::Overflow::DropOldest);
+      sub->frames.push_back(frame);
+      if (sub->frames.size() > sub->capacity) {
+        sub->frames.pop_front();  // drop-oldest
+        ++sub->dropped;
+      }
     }
   }
   for (const auto& sub : targets) {
@@ -177,7 +164,8 @@ void TraceStreamer::on_trace(void* self, const obs::TraceEvent& event) {
   if (campaign.empty()) campaign = t_campaign_scope;
   if (campaign.empty()) return;  // unattributable: not streamed
 
-  static_cast<TraceStreamer*>(self)->publish(campaign, event_to_json(event));
+  static_cast<TraceStreamer*>(self)->publish(
+      campaign, event_json(event.name, event.args.data(), event.arg_count));
 }
 
 CampaignScope::CampaignScope(std::string campaign)

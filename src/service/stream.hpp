@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -9,17 +10,19 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "stream/channel.hpp"
 #include "util/json.hpp"
 
 namespace ff::service {
 
+/// One trace event as the wire carries it: `{"event": name, <args>...}`.
+/// The `trace` tail and `subscribe` frames both spell events this way.
+Json event_json(const char* name, const obs::Arg* args, size_t count);
+
 /// The push half of the `subscribe` command: a process-wide fan-out from
-/// the obs trace layer to per-subscriber drop-oldest ring buffers
-/// (stream::Channel, ChannelKind::Mpmc). Publishing never blocks — a slow
-/// watcher loses its *own* oldest events (counted in dropped()) and stalls
-/// nobody; the server turns a subscriber whose socket also backs up into a
-/// `slow-consumer` disconnect.
+/// the obs trace layer to per-subscriber bounded drop-oldest frame queues.
+/// Publishing never blocks — a slow watcher loses its *own* oldest events
+/// (counted in dropped()) and stalls nobody; the server turns a subscriber
+/// whose socket also backs up into a `slow-consumer` disconnect.
 ///
 /// Event attribution: `service.*` events carry an explicit `campaign` arg;
 /// `savanna.*` events are attributed through the CampaignScope RAII the
@@ -29,7 +32,7 @@ namespace ff::service {
 /// Sequencing: each campaign has one monotonic sequence counter, bumped per
 /// published event whether or not anyone is subscribed. Every subscriber of
 /// a campaign therefore sees strictly increasing `seq` values, and a
-/// subscriber that saw no ring eviction sees them gap-free — the invariant
+/// subscriber that saw no eviction sees them gap-free — the invariant
 /// the watcher stress test asserts.
 class TraceStreamer {
  public:
@@ -38,7 +41,7 @@ class TraceStreamer {
   TraceStreamer(const TraceStreamer&) = delete;
   TraceStreamer& operator=(const TraceStreamer&) = delete;
 
-  /// Register a subscriber for `campaign` with a ring of `capacity` event
+  /// Register a subscriber for `campaign` with a queue of `capacity` event
   /// frames. `wake` is invoked (possibly concurrently, from arbitrary
   /// emitting threads) after events are queued; it must be cheap and
   /// non-blocking — the server's wake coalesces into one self-pipe byte.
@@ -58,7 +61,7 @@ class TraceStreamer {
   /// True when the subscription still has queued frames after a drain.
   bool has_pending(uint64_t id) const;
 
-  /// Events this subscription lost to ring eviction (drop-oldest).
+  /// Events this subscription lost to eviction (drop-oldest).
   uint64_t dropped(uint64_t id) const;
 
   size_t active() const;
@@ -73,14 +76,17 @@ class TraceStreamer {
  private:
   struct Subscription {
     std::string campaign;
-    std::unique_ptr<stream::Channel> ring;
+    size_t capacity = 1;
+    std::deque<std::string> frames;  // guarded by mutex_
+    uint64_t dropped = 0;            // guarded by mutex_
     std::function<void()> wake;
   };
 
   TraceStreamer() = default;
   static void on_trace(void* self, const obs::TraceEvent& event);
   void update_listener();
-  std::shared_ptr<Subscription> find(uint64_t id) const;
+  /// The subscription `id`, or nullptr; caller holds mutex_.
+  Subscription* find_locked(uint64_t id) const;
 
   mutable std::mutex mutex_;
   std::map<uint64_t, std::shared_ptr<Subscription>> subs_;

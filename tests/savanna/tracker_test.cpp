@@ -190,6 +190,44 @@ TEST(RunTracker, RestoreRebuildsCountersFromSnapshot) {
   EXPECT_THROW(restored.restore(original.to_json_started()), ValidationError);
 }
 
+TEST(RunTracker, TotalAttemptsEqualsThePerRunSum) {
+  RunTracker tracker;
+  const std::vector<std::string> ids = {"a", "b", "c", "pending"};
+  for (const std::string& id : ids) tracker.add_run(id);
+  auto per_run_sum = [&ids](const RunTracker& t) {
+    size_t sum = 0;
+    for (const std::string& id : ids) sum += t.attempts(id);
+    return sum;
+  };
+  EXPECT_EQ(tracker.total_attempts(), 0u);
+
+  tracker.mark_started("a", 0, 0);
+  tracker.mark_done("a", 1);
+  tracker.mark_started("b", 0, 1);
+  tracker.mark_killed("b", 1);
+  tracker.mark_started("b", 2, 0);  // retry
+  tracker.mark_failed("b", 3, "x");
+  tracker.mark_started("b", 4, 0);  // second retry, still running
+  tracker.mark_started("c", 0, 2);
+  tracker.mark_killed("c", 1);
+  tracker.mark_exhausted("c", 1, "budget");
+  EXPECT_EQ(tracker.total_attempts(), 5u);
+  EXPECT_EQ(tracker.total_attempts(), per_run_sum(tracker));
+
+  RunTracker restored;
+  restored.restore(tracker.to_json_started());
+  restored.add_run("pending");
+  EXPECT_EQ(restored.total_attempts(), 5u);
+  EXPECT_EQ(restored.total_attempts(), per_run_sum(restored));
+  // Marks after a restore keep adding to the restored total.
+  restored.mark_started("pending", 5, 0);
+  EXPECT_EQ(restored.total_attempts(), 6u);
+  EXPECT_EQ(restored.total_attempts(), per_run_sum(restored));
+  // A rejected restore leaves the total untouched.
+  EXPECT_THROW(restored.restore(tracker.to_json_started()), ValidationError);
+  EXPECT_EQ(restored.total_attempts(), per_run_sum(restored));
+}
+
 TEST(RunTracker, ManyRunsKeepAggregatesConsistent) {
   RunTracker tracker;
   const size_t n = 10000;

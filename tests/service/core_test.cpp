@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "service/session.hpp"
 #include "service_test_util.hpp"
 #include "util/error.hpp"
@@ -23,10 +25,12 @@ CampaignConfig config_for(const Json& manifest) {
   return config;  // defaults: first group, seed 5, default model/policies
 }
 
-void expect_byte_identical_to_batch(const std::string& service_dir,
-                                    const Json& manifest,
-                                    const std::string& scratch_root) {
-  const std::string batch_dir = run_batch_reference(manifest, scratch_root);
+void expect_byte_identical_to_batch(
+    const std::string& service_dir, const Json& manifest,
+    const std::string& scratch_root,
+    const savanna::JournalPolicy& journal_policy = {}) {
+  const std::string batch_dir =
+      run_batch_reference(manifest, scratch_root, journal_policy);
   EXPECT_EQ(read_file(service_dir + "/.campaign/journal.jsonl"),
             read_file(batch_dir + "/.campaign/journal.jsonl"))
       << service_dir;
@@ -175,37 +179,111 @@ TEST(ServiceCore, ResumeRejectsTerminalAndScheduledStates) {
   EXPECT_THROW(core.resume("ghost"), NotFoundError);  // nowhere on disk
 }
 
+/// Submit `manifest` to a first core that then stops (the SIGTERM drain:
+/// at most the slice already granted runs) and goes away, leaving the
+/// campaign mid-way on disk. Returns the campaign directory.
+std::string leave_orphan_on_disk(const Json& manifest, const std::string& root,
+                                 const savanna::JournalPolicy& journal_policy) {
+  ServiceCore::Options options;
+  options.root = root;
+  options.workers = 1;
+  ServiceCore first(options);
+  CampaignConfig config = config_for(manifest);
+  config.journal = journal_policy;
+  const std::string name = first.submit(config, "s1");
+  first.stop();
+  return first.info(name).directory;
+}
+
 TEST(ServiceCore, AdoptsCampaignFromDiskAfterRestart) {
-  TempDir dir;
-  const Json manifest = sliced_manifest("orphan");
-  const std::string root = dir.file("service");
-  std::string directory;
-  {
+  savanna::JournalPolicy checkpointed;
+  checkpointed.checkpoint_every = 2;
+  checkpointed.compact_after_checkpoint = true;
+  checkpointed.group_commit = 4;
+  for (const savanna::JournalPolicy& policy :
+       {savanna::JournalPolicy{}, checkpointed}) {
+    SCOPED_TRACE("checkpoint_every " + std::to_string(policy.checkpoint_every));
+    TempDir dir;
+    const Json manifest = sliced_manifest("orphan");
+    const std::string root = dir.file("service");
+    leave_orphan_on_disk(manifest, root, policy);
+
     ServiceCore::Options options;
     options.root = root;
     options.workers = 1;
-    ServiceCore first(options);
-    first.submit(config_for(manifest), "s1");
-    EXPECT_TRUE(first.cancel("orphan"));
-    first.drain();
-    directory = first.info("orphan").directory;
-    // first is destroyed here — the "daemon" goes away mid-campaign.
+    ServiceCore second(options);
+    EXPECT_THROW(second.info("orphan"), NotFoundError);  // not in memory
+    second.resume("orphan");  // adopted: endpoint + service.json sidecar
+    second.drain();
+    const CampaignInfo info = second.info("orphan");
+    EXPECT_EQ(info.state, "done") << info.error;
+    EXPECT_EQ(info.owner, "");  // recovered; no live session owns it
+    EXPECT_EQ(info.counts.done, 6u);
+    // Even across a process boundary the journal is byte-identical to an
+    // uninterrupted batch run under the same journal policy (the
+    // crash_resume guarantee, via the service).
+    expect_byte_identical_to_batch(info.directory, manifest, dir.file("batch"),
+                                   policy);
   }
+}
+
+// An adopted campaign replays its journal once, on its first slice; every
+// later slice continues from the rebuilt state in memory.
+TEST(ServiceCore, AdoptedCampaignReplaysItsJournalOnce) {
+  TempDir dir;
+  Json manifest = sliced_manifest("replayed", 200);
+  manifest["groups"][0]["nodes"] = int64_t{4};
+  manifest["groups"][0]["walltime_s"] = 1500.0;
+  savanna::JournalPolicy policy;
+  policy.checkpoint_every = 16;
+  policy.compact_after_checkpoint = true;
+  policy.group_commit = 64;
+  const std::string root = dir.file("service");
+  leave_orphan_on_disk(manifest, root, policy);
 
   ServiceCore::Options options;
   options.root = root;
   options.workers = 1;
   ServiceCore second(options);
-  EXPECT_THROW(second.info("orphan"), NotFoundError);  // not in memory
-  second.resume("orphan");  // adopted: endpoint + service.json sidecar
+  obs::TraceRecorder::instance().clear();
+  obs::set_tracing(true);
+  second.resume("replayed");
   second.drain();
-  const CampaignInfo info = second.info("orphan");
+  obs::set_tracing(false);
+  size_t replays = 0;
+  for (const obs::TraceEvent& event : obs::TraceRecorder::instance().flush()) {
+    if (std::strcmp(event.name, "savanna.journal.replay") == 0) ++replays;
+  }
+  EXPECT_EQ(obs::TraceRecorder::instance().dropped(), 0u);
+
+  const CampaignInfo info = second.info("replayed");
   EXPECT_EQ(info.state, "done") << info.error;
-  EXPECT_EQ(info.owner, "");  // recovered; no live session owns it
-  EXPECT_EQ(info.counts.done, 6u);
-  // Even across a process boundary the journal is byte-identical to an
-  // uninterrupted batch run (the crash_resume guarantee, via the service).
-  expect_byte_identical_to_batch(info.directory, manifest, dir.file("batch"));
+  EXPECT_GT(info.allocations, 1u);  // several slices after the adoption
+  EXPECT_EQ(replays, 1u) << info.allocations << " slices";
+  expect_byte_identical_to_batch(info.directory, manifest, dir.file("batch"),
+                                 policy);
+}
+
+TEST(ServiceCore, AdoptingAManifestWithoutGroupsIsRejected) {
+  TempDir dir;
+  const std::string root = dir.file("service");
+  const std::string directory =
+      leave_orphan_on_disk(sliced_manifest("hollow"), root, {});
+  const std::string manifest_file = directory + "/.campaign/manifest.json";
+  Json manifest = Json::parse_file(manifest_file);
+  manifest.as_object().erase("groups");
+  write_file(manifest_file, manifest.pretty() + "\n");
+
+  ServiceCore::Options options;
+  options.root = root;
+  options.workers = 1;
+  ServiceCore core(options);
+  EXPECT_THROW(core.resume("hollow"), ValidationError);
+  EXPECT_THROW(core.info("hollow"), NotFoundError);  // nothing was adopted
+  // The core keeps serving.
+  core.submit(config_for(sliced_manifest("after")), "s1");
+  core.drain();
+  EXPECT_EQ(core.info("after").state, "done");
 }
 
 TEST(ServiceCore, SubmitAfterStopIsRefused) {
@@ -224,11 +302,31 @@ TEST(ServiceCore, TraceTailRecordsLifecycleEvents) {
   options.root = dir.file("service");
   options.workers = 1;
   ServiceCore core(options);
-  core.submit(config_for(sliced_manifest("traced")), "s1");
+  Dispatcher dispatcher(core);
+  Dispatcher::Session session(dispatcher);
+  auto request = [](const std::string& cmd) {
+    Json out = Json::object();
+    out["cmd"] = cmd;
+    out["id"] = int64_t{1};
+    return out;
+  };
+  auto trace = [&](int64_t count) {
+    Json ask = request("trace");
+    ask["count"] = count;
+    const Json reply = session.handle(ask);
+    EXPECT_TRUE(reply.get_or("ok", false)) << reply.dump();
+    return reply["events"].as_array();
+  };
+
+  Json submit = request("submit");
+  submit["manifest"] = sliced_manifest("traced");
+  ASSERT_TRUE(session.handle(submit).get_or("ok", false));
   core.drain();
+  ASSERT_TRUE(session.handle(request("ping")).get_or("ok", false));
 
   bool saw_submit = false, saw_done = false, saw_slice = false;
-  for (const Json& event : core.trace_tail(256)) {
+  const std::vector<Json> events = trace(64);
+  for (const Json& event : events) {
     const std::string kind = event.get_or("event", "");
     if (kind == "service.campaign.submit") saw_submit = true;
     if (kind == "service.slice") saw_slice = true;
@@ -240,8 +338,30 @@ TEST(ServiceCore, TraceTailRecordsLifecycleEvents) {
   EXPECT_TRUE(saw_submit);
   EXPECT_TRUE(saw_slice);
   EXPECT_TRUE(saw_done);
-  // The tail is bounded and `count` truncates from the oldest side.
-  EXPECT_LE(core.trace_tail(3).size(), 3u);
+  // Newest last: the ping's request event, with `ok` as 0/1.
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().get_or("event", ""), "service.request");
+  EXPECT_EQ(events.back().get_or("cmd", ""), "ping");
+  EXPECT_EQ(events.back()["ok"].as_int(), 1);
+  EXPECT_EQ(events.back().get_or("session", ""), session.id());
+
+  // `count` keeps the newest events: the ping, then the trace just served.
+  const std::vector<Json> newest = trace(2);
+  ASSERT_EQ(newest.size(), 2u);
+  EXPECT_EQ(newest[0].get_or("cmd", ""), "ping");
+  EXPECT_EQ(newest[1].get_or("cmd", ""), "trace");
+  EXPECT_TRUE(trace(0).empty());
+  Json negative = request("trace");
+  negative["count"] = int64_t{-1};
+  EXPECT_FALSE(session.handle(negative).get_or("ok", true));
+
+  // The tail is bounded: past 256 events the oldest fall off.
+  for (int i = 0; i < 300; ++i) session.handle(request("ping"));
+  const std::vector<Json> all = trace(1000);
+  EXPECT_EQ(all.size(), 256u);
+  for (const Json& event : all) {
+    EXPECT_EQ(event.get_or("event", ""), "service.request") << event.dump();
+  }
 }
 
 TEST(CampaignConfigFromRequest, ParsesKnobsAndValidates) {

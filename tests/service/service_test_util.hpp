@@ -49,9 +49,11 @@ inline Json sliced_manifest(const std::string& name, int64_t runs = 6) {
 
 /// The batch path, verbatim (the irf_census idiom): one uncapped
 /// run_with_resubmission against a private simulation/tracker/journal,
-/// identical duration sampling (seed 5). Returns the endpoint directory.
-inline std::string run_batch_reference(const Json& manifest,
-                                       const std::string& root) {
+/// identical duration sampling (seed 5) and journal policy. Returns the
+/// endpoint directory.
+inline std::string run_batch_reference(
+    const Json& manifest, const std::string& root,
+    const savanna::JournalPolicy& journal_policy = {}) {
   cheetah::Campaign campaign = cheetah::Campaign::from_json(manifest);
   cheetah::CampaignEndpoint endpoint =
       cheetah::CampaignEndpoint::create(campaign, root);
@@ -72,6 +74,7 @@ inline std::string run_batch_reference(const Json& manifest,
   savanna::CampaignRunOptions options;
   options.execution.nodes = group.nodes();
   options.execution.walltime_s = group.walltime_s();
+  options.journal = journal_policy;
 
   sim::Simulation sim;
   savanna::RunTracker tracker;
