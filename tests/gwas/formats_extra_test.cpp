@@ -65,23 +65,26 @@ TEST(Psl, TwentyOneColumns) {
   EXPECT_EQ(tabs, 20u);  // 21 columns
 }
 
-class ConversionMatrix
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+// std::string, not const char*: gtest prints a pointer parameter as its
+// address, and that address would land in every discovered ctest name.
+using Conversion = std::pair<std::string, std::string>;
+
+class ConversionMatrix : public ::testing::TestWithParam<Conversion> {};
 
 TEST_P(ConversionMatrix, AnyToAnyPreservesRecords) {
-  const auto [from, to] = GetParam();
+  const auto& [from, to] = GetParam();
   // Express the sample in `from`, convert to `to`, read back, compare.
   std::string source;
-  if (std::string(from) == "bed") source = write_bed(sample_records());
-  if (std::string(from) == "gff3") source = write_gff3(sample_records());
-  if (std::string(from) == "gtf2") source = write_gtf2(sample_records());
-  if (std::string(from) == "psl") source = write_psl(sample_records());
+  if (from == "bed") source = write_bed(sample_records());
+  if (from == "gff3") source = write_gff3(sample_records());
+  if (from == "gtf2") source = write_gtf2(sample_records());
+  if (from == "psl") source = write_psl(sample_records());
   const std::string converted = convert_annotation(source, from, to);
   std::vector<AnnotationRecord> back;
-  if (std::string(to) == "bed") back = parse_bed(converted);
-  if (std::string(to) == "gff3") back = parse_gff3(converted);
-  if (std::string(to) == "gtf2") back = parse_gtf2(converted);
-  if (std::string(to) == "psl") back = parse_psl(converted);
+  if (to == "bed") back = parse_bed(converted);
+  if (to == "gff3") back = parse_gff3(converted);
+  if (to == "gtf2") back = parse_gtf2(converted);
+  if (to == "psl") back = parse_psl(converted);
   // Scores survive except via GFF3/GTF2 '.'-less paths (all formats here
   // carry a numeric score, so full equality holds).
   EXPECT_EQ(back, sample_records()) << from << " -> " << to;
@@ -89,14 +92,14 @@ TEST_P(ConversionMatrix, AnyToAnyPreservesRecords) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPairs, ConversionMatrix,
-    ::testing::Values(std::pair{"bed", "gff3"}, std::pair{"bed", "gtf2"},
-                      std::pair{"bed", "psl"}, std::pair{"gff3", "bed"},
-                      std::pair{"gff3", "gtf2"}, std::pair{"gff3", "psl"},
-                      std::pair{"gtf2", "bed"}, std::pair{"gtf2", "gff3"},
-                      std::pair{"gtf2", "psl"}, std::pair{"psl", "bed"},
-                      std::pair{"psl", "gff3"}, std::pair{"psl", "gtf2"}),
-    [](const ::testing::TestParamInfo<std::pair<const char*, const char*>>& info) {
-      return std::string(info.param.first) + "_to_" + info.param.second;
+    ::testing::Values(Conversion{"bed", "gff3"}, Conversion{"bed", "gtf2"},
+                      Conversion{"bed", "psl"}, Conversion{"gff3", "bed"},
+                      Conversion{"gff3", "gtf2"}, Conversion{"gff3", "psl"},
+                      Conversion{"gtf2", "bed"}, Conversion{"gtf2", "gff3"},
+                      Conversion{"gtf2", "psl"}, Conversion{"psl", "bed"},
+                      Conversion{"psl", "gff3"}, Conversion{"psl", "gtf2"}),
+    [](const ::testing::TestParamInfo<Conversion>& info) {
+      return info.param.first + "_to_" + info.param.second;
     });
 
 }  // namespace
