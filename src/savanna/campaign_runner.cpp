@@ -151,7 +151,10 @@ CampaignRunResult run_with_resubmission(sim::Simulation& sim,
     double last_end = 0;
   };
   std::map<std::string, RetryState> retry_state;
-  std::map<std::string, int> submissions;  // per-run submission count (trace)
+  // Per-run submission count, read only by the savanna.job.submit/retry
+  // events: built only when tracing is on at entry.
+  const bool trace_jobs = obs::tracing_enabled();
+  std::map<std::string, int> submissions;
 
   std::vector<sim::TaskSpec> remaining;
   remaining.reserve(tasks.size());
@@ -160,7 +163,7 @@ CampaignRunResult run_with_resubmission(sim::Simulation& sim,
       if (!tracker->has_run(task.id)) tracker->add_run(task.id);
       const RunTracker::RunStatus status = tracker->status(task.id);
       if (status.state == "done" || status.state == "exhausted") continue;
-      submissions[task.id] = static_cast<int>(status.attempts);
+      if (trace_jobs) submissions[task.id] = static_cast<int>(status.attempts);
       if (status.state == "failed" || status.state == "killed") {
         retry_state[task.id] = RetryState{status.attempts, status.last_time};
       }
@@ -201,7 +204,7 @@ CampaignRunResult run_with_resubmission(sim::Simulation& sim,
     const bool all_eligible = eligible.size() == remaining.size();
 
     const double allocation_start = sim.now();
-    if (obs::tracing_enabled()) {
+    if (trace_jobs && obs::tracing_enabled()) {
       // Everything entering this allocation is a submission; a run seen
       // before is a retry (its earlier attempt failed, was killed, or never
       // started).

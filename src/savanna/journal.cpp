@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -14,6 +15,9 @@ namespace ff::savanna {
 namespace {
 
 CampaignJournal::WriteHook g_write_hook;
+
+/// Line 2 of a compacted journal.
+constexpr std::string_view kCompactMarker = "{\"kind\":\"compact\"}\n";
 
 void run_hook(CampaignJournal::WriteKind kind, CampaignJournal::WritePhase phase,
               size_t write_index) {
@@ -89,6 +93,7 @@ CampaignJournal::CampaignJournal(CampaignJournal&& other) noexcept
       group_commit_(other.group_commit_),
       buffered_(std::move(other.buffered_)),
       buffered_records_(std::exchange(other.buffered_records_, 0)),
+      checkpoint_offset_(std::exchange(other.checkpoint_offset_, 0)),
       last_error_(std::move(other.last_error_)) {}
 
 CampaignJournal& CampaignJournal::operator=(CampaignJournal&& other) noexcept {
@@ -101,6 +106,7 @@ CampaignJournal& CampaignJournal::operator=(CampaignJournal&& other) noexcept {
     group_commit_ = other.group_commit_;
     buffered_ = std::move(other.buffered_);
     buffered_records_ = std::exchange(other.buffered_records_, 0);
+    checkpoint_offset_ = std::exchange(other.checkpoint_offset_, 0);
     last_error_ = std::move(other.last_error_);
   }
   return *this;
@@ -273,6 +279,7 @@ CampaignJournal::Replay CampaignJournal::replay(const std::string& path) {
           static_cast<size_t>(record.get_or("next_index", int64_t{0}));
       out.allocations.clear();
       out.checkpoint = std::move(record);
+      out.checkpoint_offset = pos;
     } else if (kind == "compact") {
       ++out.compactions;
     }
@@ -307,6 +314,7 @@ CampaignJournal CampaignJournal::open_for_append(const std::string& path,
   journal.path_ = path;
   journal.next_index_ = state.next_index;
   journal.write_index_ = state.records;
+  journal.checkpoint_offset_ = state.checkpoint_offset;
   journal.fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (journal.fd_ < 0) throw IoError("cannot open journal for append: " + path);
   return journal;
@@ -352,22 +360,25 @@ size_t CampaignJournal::append_allocation(Json record) {
   return index;
 }
 
-void CampaignJournal::append_checkpoint(const Json& tracker_snapshot,
-                                        double clock) {
+void CampaignJournal::append_checkpoint(Json tracker_snapshot, double clock) {
   if (fd_ < 0) throw StateError("journal is not open for append");
   flush();  // a checkpoint must summarize a durable prefix
+  const off_t offset = ::lseek(fd_, 0, SEEK_END);
+  if (offset < 0) throw IoError("cannot size journal: " + path_);
+  const size_t runs = tracker_snapshot.size();
   Json record = Json::object();
   record["kind"] = "ckpt";
   record["next_index"] = static_cast<int64_t>(next_index_);
   record["clock"] = clock;
-  record["tracker"] = tracker_snapshot;
+  record["tracker"] = std::move(tracker_snapshot);
   const std::string line = record.dump() + "\n";
   durable_append(fd_, line, path_, WriteKind::Checkpoint, write_index_);
   ++write_index_;
+  checkpoint_offset_ = static_cast<size_t>(offset);
   if (obs::tracing_enabled()) {
     obs::trace_instant("savanna", "savanna.journal.checkpoint",
                        {{"alloc", next_index_},
-                        {"runs", tracker_snapshot.size()},
+                        {"runs", runs},
                         {"bytes", line.size()}});
   }
 }
@@ -375,39 +386,34 @@ void CampaignJournal::append_checkpoint(const Json& tracker_snapshot,
 void CampaignJournal::compact() {
   if (fd_ < 0) throw StateError("journal is not open for append");
   flush();
+  if (checkpoint_offset_ == 0) return;  // nothing a checkpoint summarizes
   const std::string text = read_file(path_);
 
-  // Split into complete lines (the file always ends with '\n' here: every
-  // append path writes whole lines and any torn tail was truncated at open).
-  std::vector<std::string> lines;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t newline = text.find('\n', pos);
-    if (newline == std::string::npos) break;
-    lines.push_back(text.substr(pos, newline - pos));
-    pos = newline + 1;
+  // The file always ends with '\n' here: every append path writes whole
+  // lines and any torn tail was truncated at open. So the bytes from the
+  // newest checkpoint's line start on are exactly the lines to keep.
+  const size_t header_end = text.find('\n') + 1;  // 0 when there is no '\n'
+  if (header_end == 0 || checkpoint_offset_ < header_end ||
+      checkpoint_offset_ >= text.size() || text[checkpoint_offset_ - 1] != '\n') {
+    throw StateError("journal " + path_ + ": checkpoint offset " +
+                     std::to_string(checkpoint_offset_) +
+                     " is not at a line start");
   }
-  if (lines.empty()) return;
-
-  size_t last_ckpt = SIZE_MAX;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    try {
-      if (Json::parse(lines[i]).get_or("kind", "") == std::string("ckpt")) {
-        last_ckpt = i;
-      }
-    } catch (const std::exception&) {
-      // unreachable for a journal we hold open; be permissive anyway
-    }
+  const size_t compact_end = header_end + kCompactMarker.size();
+  if (checkpoint_offset_ == compact_end &&
+      text.compare(header_end, kCompactMarker.size(), kCompactMarker) == 0) {
+    return;  // already compact — keep compact() idempotent
   }
-  if (last_ckpt == SIZE_MAX) return;  // nothing a checkpoint summarizes
-
-  const size_t dropped = last_ckpt - 1;  // records between header and ckpt
-  std::string compacted = lines[0] + "\n" + R"({"kind":"compact"})" + "\n";
-  for (size_t i = last_ckpt; i < lines.size(); ++i) {
-    compacted += lines[i];
-    compacted += '\n';
-  }
-  if (compacted == text) return;  // already compact — keep compact() idempotent
+  // Records between the header and the checkpoint, one line each.
+  const auto dropped = static_cast<size_t>(
+      std::count(text.begin() + static_cast<std::ptrdiff_t>(header_end),
+                 text.begin() + static_cast<std::ptrdiff_t>(checkpoint_offset_),
+                 '\n'));
+  std::string compacted;
+  compacted.reserve(compact_end + text.size() - checkpoint_offset_);
+  compacted.append(text, 0, header_end);
+  compacted += kCompactMarker;
+  compacted.append(text, checkpoint_offset_);
 
   // Same atomicity as the header: the old journal stays intact until the
   // rename, so a crash mid-compaction loses nothing.
@@ -416,6 +422,7 @@ void CampaignJournal::compact() {
   ::close(fd_);
   fd_ = -1;
   write_file_atomic(path_, compacted);
+  checkpoint_offset_ = compact_end;
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
   if (fd_ < 0) throw IoError("cannot reopen journal after compaction: " + path_);
   run_hook(WriteKind::Compact, WritePhase::AfterSync, write_index_);

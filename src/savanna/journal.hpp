@@ -145,6 +145,8 @@ class CampaignJournal {
     size_t compactions = 0;         // "compact" markers seen
     bool torn_tail = false;         // a partial final line was dropped
     size_t committed_bytes = 0;     // file offset after the last good line
+    size_t checkpoint_offset = 0;   // file offset of the newest "ckpt" line
+                                    // (0 when none: line 1 is the header)
     bool has_header() const { return header.is_object(); }
     bool has_checkpoint() const { return checkpoint.is_object(); }
   };
@@ -157,7 +159,8 @@ class CampaignJournal {
 
   /// Open an existing journal for appending. If `state.torn_tail`, the
   /// torn bytes are first truncated away (atomic rewrite of the committed
-  /// prefix). `state` must come from replay() of the same path.
+  /// prefix). `state` must come from replay() of the same path; the handle
+  /// takes over its checkpoint offset for compact().
   static CampaignJournal open_for_append(const std::string& path,
                                          const Replay& state);
 
@@ -168,15 +171,18 @@ class CampaignJournal {
   size_t append_allocation(Json record);
 
   /// Append a checkpoint record carrying the tracker snapshot (the
-  /// to_json_started() shape) and the virtual clock. Flushes any buffered
-  /// batch first, so the checkpoint always summarizes a durable prefix.
-  /// Emits `savanna.journal.checkpoint`.
-  void append_checkpoint(const Json& tracker_snapshot, double clock);
+  /// to_json_started() shape, moved into the record) and the virtual clock.
+  /// Flushes any buffered batch first, so the checkpoint always summarizes
+  /// a durable prefix. Emits `savanna.journal.checkpoint`.
+  void append_checkpoint(Json tracker_snapshot, double clock);
 
   /// Rewrite the journal as header + compact marker + newest checkpoint +
   /// subsequent records, dropping the alloc history the checkpoint already
-  /// summarizes. Atomic (tmp + rename); a no-op when there is no
-  /// checkpoint or nothing precedes it. Emits `savanna.journal.compact`.
+  /// summarizes. The handle knows where its newest checkpoint line starts,
+  /// so this copies bytes and parses nothing. Atomic (tmp + rename); a
+  /// no-op when there is no checkpoint or nothing precedes it. Throws
+  /// StateError when the remembered offset is not at a line start. Emits
+  /// `savanna.journal.compact`.
   void compact();
 
   /// Batch size for group commit: 1 (default) fsyncs every record;
@@ -239,6 +245,8 @@ class CampaignJournal {
   size_t group_commit_ = 1;
   std::string buffered_;    // group-commit batch not yet durable
   size_t buffered_records_ = 0;
+  size_t checkpoint_offset_ = 0;  // file offset of the newest ckpt line
+                                  // (0: none yet)
   std::string last_error_;  // failure swallowed by a quiet close
 };
 

@@ -102,20 +102,34 @@ std::string format_double(double value) {
   if (std::isnan(value)) return "null";  // JSON has no NaN; callers rely on this
   if (std::isinf(value)) return value > 0 ? "1e999" : "-1e999";
   char buf[64];
-  // Integral values in the safe range print as "N.0" rather than "1e+01".
+  char* const buf_end = buf + sizeof(buf);
+  // Integral values in the safe range print as "N.0" rather than "1e+01"
+  // (to_chars with a precision is defined as printf: this is "%.1f").
   if (value == std::floor(value) && std::abs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.1f", value);
-    return buf;
+    return std::string(
+        buf, std::to_chars(buf, buf_end, value, std::chars_format::fixed, 1).ptr);
   }
-  // %.17g is always round-trippable for IEEE754 doubles; try shorter forms
-  // first so common values print compactly.
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, value);
+  // The shortest "%.Pg" (P in 1..17) that parses back to `value`. The
+  // shortest round-trip scientific form has S significant digits, so no
+  // P < S can round-trip; %.Sg rounds the exact value instead of choosing
+  // among round-trip candidates, so it can miss, and %.17g never does.
+  // Count S on the scientific form: the plain shortest form prints doubles
+  // >= 2^53 in full fixed notation, trailing non-significant digits and all.
+  const char* const sci_end =
+      std::to_chars(buf, buf_end, value, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* c = buf; c != sci_end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++digits;
+  }
+  char* text_end = buf;
+  for (int prec = digits; prec <= 17; ++prec) {
+    text_end =
+        std::to_chars(buf, buf_end, value, std::chars_format::general, prec).ptr;
     double parsed = 0.0;
-    std::sscanf(buf, "%lf", &parsed);
+    std::from_chars(buf, text_end, parsed);  // correctly rounded, like strtod
     if (parsed == value) break;
   }
-  std::string out(buf);
+  std::string out(buf, text_end);
   // Ensure the representation re-parses as floating point, not integer.
   if (out.find_first_of(".eE") == std::string::npos &&
       out.find_first_of("0123456789") != std::string::npos) {

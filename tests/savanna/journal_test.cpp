@@ -7,6 +7,7 @@
 #include "savanna/campaign_runner.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/strings.hpp"
 
 namespace ff::savanna {
 namespace {
@@ -233,6 +234,158 @@ TEST(CampaignJournal, CompactWithoutCheckpointIsANoOp) {
   journal.append_allocation(alloc_record(0, 10, {"a"}));
   const std::string before = read_file(path);
   journal.compact();  // nothing summarizes the alloc history yet
+  EXPECT_EQ(read_file(path), before);
+}
+
+/// What compact() must leave, found the slow way: parse every line, keep
+/// the header, the compact marker, and every line from the newest "ckpt" on.
+std::string compacted_reference(const std::string& text) {
+  std::vector<std::string> lines = split(text, '\n');
+  lines.pop_back();  // the empty field after the final newline
+  size_t newest = 0;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    if (Json::parse(lines[i]).get_or("kind", "") == std::string("ckpt")) {
+      newest = i;
+    }
+  }
+  if (newest == 0) return text;
+  std::string out = lines[0] + "\n" + R"({"kind":"compact"})" + "\n";
+  for (size_t i = newest; i < lines.size(); ++i) out += lines[i] + "\n";
+  return out;
+}
+
+Json snapshot_of(const std::vector<std::string>& done) {
+  Json snapshot = Json::object();
+  for (const std::string& id : done) {
+    snapshot[id] = Json::parse(R"({"state":"done","attempts":1,"events":[]})");
+  }
+  return snapshot;
+}
+
+TEST(CampaignJournal, CompactKeepsTheNewestOfTwoCheckpoints) {
+  TempDir dir("journal");
+  const std::string path = dir.file("journal.jsonl");
+  auto journal = CampaignJournal::create(path, "camp", {"a", "b", "c"});
+  journal.append_allocation(alloc_record(0, 10.5, {"a"}));
+  journal.append_checkpoint(snapshot_of({"a"}), 10.5);
+  journal.append_allocation(alloc_record(10.5, 20.25, {"b"}));
+  journal.append_checkpoint(snapshot_of({"a", "b"}), 20.25);
+  journal.append_allocation(alloc_record(20.25, 30, {}));
+  const std::string expected = compacted_reference(read_file(path));
+  journal.compact();
+  EXPECT_EQ(read_file(path), expected);
+  EXPECT_EQ(CampaignJournal::replay(path).checkpoint["clock"].as_double(), 20.25);
+}
+
+TEST(CampaignJournal, ReopenedJournalCompactsFromTheReplayedOffset) {
+  TempDir dir("journal");
+  const std::string path = dir.file("journal.jsonl");
+  auto journal = CampaignJournal::create(path, "camp", {"a", "b"});
+  journal.append_allocation(alloc_record(0, 10, {"a"}));
+  journal.append_allocation(alloc_record(10, 20, {}));
+  journal.append_checkpoint(snapshot_of({"a"}), 20.0);
+  journal.append_allocation(alloc_record(20, 30, {"b"}));
+  journal.close();
+  const std::string text = read_file(path);
+
+  const auto replay = CampaignJournal::replay(path);
+  ASSERT_TRUE(replay.has_checkpoint());
+  ASSERT_GT(replay.checkpoint_offset, 0u);
+  const size_t line_end = text.find('\n', replay.checkpoint_offset);
+  EXPECT_EQ(text[replay.checkpoint_offset - 1], '\n');
+  EXPECT_EQ(Json::parse(text.substr(replay.checkpoint_offset,
+                                    line_end - replay.checkpoint_offset))
+                .dump(),
+            replay.checkpoint.dump());
+
+  auto reopened = CampaignJournal::open_for_append(path, replay);
+  reopened.compact();
+  EXPECT_EQ(read_file(path), compacted_reference(text));
+}
+
+TEST(CampaignJournal, CompactAfterTornTailWasTruncatedAtOpen) {
+  TempDir dir("journal");
+  const std::string path = dir.file("journal.jsonl");
+  auto journal = CampaignJournal::create(path, "camp", {"a", "b"});
+  journal.append_allocation(alloc_record(0, 10, {"a"}));
+  journal.append_checkpoint(snapshot_of({"a"}), 10.0);
+  journal.append_allocation(alloc_record(10, 20, {}));
+  journal.close();
+  const std::string committed = read_file(path);
+  {
+    std::ofstream torn(path, std::ios::app | std::ios::binary);
+    torn << R"({"kind":"ckpt","next_index":2,"clo)";
+  }
+
+  const auto replay = CampaignJournal::replay(path);
+  ASSERT_TRUE(replay.torn_tail);
+  auto reopened = CampaignJournal::open_for_append(path, replay);
+  reopened.compact();
+  EXPECT_EQ(read_file(path), compacted_reference(committed));
+}
+
+TEST(CampaignJournal, MovedJournalKeepsItsCheckpointOffset) {
+  TempDir dir("journal");
+  auto write_history = [&](const std::string& path) {
+    auto journal = CampaignJournal::create(path, "camp", {"a", "b"});
+    journal.append_allocation(alloc_record(0, 10, {"a"}));
+    journal.append_allocation(alloc_record(10, 20, {}));
+    journal.append_checkpoint(snapshot_of({"a"}), 20.0);
+    journal.append_allocation(alloc_record(20, 30, {"b"}));
+    return journal;
+  };
+
+  const std::string constructed_path = dir.file("constructed.jsonl");
+  auto source = write_history(constructed_path);
+  const std::string constructed_expected =
+      compacted_reference(read_file(constructed_path));
+  CampaignJournal constructed(std::move(source));
+  constructed.compact();
+  EXPECT_EQ(read_file(constructed_path), constructed_expected);
+
+  const std::string assigned_path = dir.file("assigned.jsonl");
+  auto assigned = CampaignJournal::create(dir.file("other.jsonl"), "other", {"x"});
+  assigned = write_history(assigned_path);
+  const std::string assigned_expected =
+      compacted_reference(read_file(assigned_path));
+  assigned.compact();
+  EXPECT_EQ(read_file(assigned_path), assigned_expected);
+}
+
+TEST(CampaignJournal, SecondCompactChangesNoByte) {
+  TempDir dir("journal");
+  const std::string path = dir.file("journal.jsonl");
+  auto journal = CampaignJournal::create(path, "camp", {"a", "b"});
+  journal.append_allocation(alloc_record(0, 10, {"a"}));
+  journal.append_checkpoint(snapshot_of({"a"}), 10.0);
+  journal.append_allocation(alloc_record(10, 20, {"b"}));
+  journal.compact();
+  const std::string once = read_file(path);
+  journal.compact();
+  EXPECT_EQ(read_file(path), once);
+
+  // A later checkpoint moves the offset past the marker; compacting again
+  // folds the first checkpoint and the record after it away.
+  journal.append_checkpoint(snapshot_of({"a", "b"}), 20.0);
+  const std::string expected = compacted_reference(read_file(path));
+  journal.compact();
+  EXPECT_EQ(read_file(path), expected);
+  journal.compact();
+  EXPECT_EQ(read_file(path), expected);
+}
+
+TEST(CampaignJournal, CompactRefusesAnOffsetOffALineStart) {
+  TempDir dir("journal");
+  const std::string path = dir.file("journal.jsonl");
+  auto journal = CampaignJournal::create(path, "camp", {"a"});
+  journal.append_allocation(alloc_record(0, 10, {"a"}));
+  journal.append_checkpoint(snapshot_of({"a"}), 10.0);
+  journal.close();
+  auto replay = CampaignJournal::replay(path);
+  const std::string before = read_file(path);
+  replay.checkpoint_offset += 1;
+  auto reopened = CampaignJournal::open_for_append(path, replay);
+  EXPECT_THROW(reopened.compact(), StateError);
   EXPECT_EQ(read_file(path), before);
 }
 

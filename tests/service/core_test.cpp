@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "savanna/journal.hpp"
 #include "service/session.hpp"
 #include "service_test_util.hpp"
 #include "util/error.hpp"
@@ -138,6 +141,40 @@ TEST(ServiceCore, QuotaBoundsCampaignsPerSession) {
   EXPECT_EQ(core.list().size(), 3u);
 }
 
+/// Holds every journal allocation append until open() is called, so a test
+/// can act while a slice is known to be unfinished. Uninstalls on scope exit.
+class AppendGate {
+ public:
+  AppendGate() {
+    savanna::CampaignJournal::set_test_write_hook(
+        [this](savanna::CampaignJournal::WriteKind kind,
+               savanna::CampaignJournal::WritePhase phase, size_t) {
+          if (kind != savanna::CampaignJournal::WriteKind::Append ||
+              phase != savanna::CampaignJournal::WritePhase::BeforeWrite) {
+            return;
+          }
+          std::unique_lock<std::mutex> lock(mutex_);
+          opened_cv_.wait(lock, [this] { return opened_; });
+        });
+  }
+  ~AppendGate() {
+    open();
+    savanna::CampaignJournal::set_test_write_hook(nullptr);
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      opened_ = true;
+    }
+    opened_cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable opened_cv_;
+  bool opened_ = false;
+};
+
 TEST(ServiceCore, CancelThenResumeStillMatchesBatch) {
   TempDir dir;
   const Json manifest = sliced_manifest("comeback");
@@ -146,12 +183,18 @@ TEST(ServiceCore, CancelThenResumeStillMatchesBatch) {
   options.workers = 1;
   ServiceCore core(options);
 
-  core.submit(config_for(manifest), "s1");
-  // Lands either while the first slice is in flight (parks after its
-  // allocation — the journal commit point) or while queued; both paths
-  // must leave a resumable campaign.
-  EXPECT_TRUE(core.cancel("comeback"));
-  core.drain();
+  {
+    // The first slice cannot commit its allocation until the cancel is in,
+    // so the campaign cannot finish first.
+    AppendGate gate;
+    core.submit(config_for(manifest), "s1");
+    // Lands either while the first slice is in flight (parks after its
+    // allocation — the journal commit point) or while queued; both paths
+    // must leave a resumable campaign.
+    EXPECT_TRUE(core.cancel("comeback"));
+    gate.open();
+    core.drain();
+  }
   const std::string state_after_cancel = core.info("comeback").state;
   ASSERT_TRUE(state_after_cancel == "cancelled" ||
               state_after_cancel == "done")

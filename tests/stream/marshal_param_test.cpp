@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "stream/marshal.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -17,6 +19,15 @@ struct MarshalCase {
   size_t records;
   uint64_t seed;
 };
+
+// gtest would otherwise print the case as a byte dump that starts with the
+// vector's heap pointer, and gtest_discover_tests copies that text into
+// every ctest name, so each relink would rename the tests.
+void PrintTo(const MarshalCase& c, std::ostream* os) {
+  *os << "types=";
+  for (size_t i = 0; i < c.types.size(); ++i) *os << (i ? "," : "") << c.types[i];
+  *os << " records=" << c.records << " seed=" << c.seed;
+}
 
 class MarshalSweep : public ::testing::TestWithParam<MarshalCase> {
  protected:

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+
 namespace ff {
 namespace {
 
@@ -80,6 +87,114 @@ TEST(FormatDouble, RoundTripsExactly) {
 TEST(FormatDouble, IntegralValuesKeepFloatMarker) {
   EXPECT_EQ(format_double(3.0), "3.0");
   EXPECT_EQ(format_double(-10.0), "-10.0");
+}
+
+/// The definition format_double's output is held to: try "%.Pg" for
+/// P = 1..17 and keep the first that sscanf parses back to the same double.
+/// Slow (up to 17 snprintf + sscanf pairs per value), so it lives only here.
+std::string printf_search_reference(double value) {
+  if (std::isnan(value)) return "null";
+  if (std::isinf(value)) return value > 0 ? "1e999" : "-1e999";
+  char buf[64];
+  if (value == std::floor(value) && std::abs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.1f", value);
+    return buf;
+  }
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, value);
+    double parsed = 0.0;
+    std::sscanf(buf, "%lf", &parsed);
+    if (parsed == value) break;
+  }
+  std::string out(buf);
+  if (out.find_first_of(".eE") == std::string::npos &&
+      out.find_first_of("0123456789") != std::string::npos) {
+    out += ".0";
+  }
+  return out;
+}
+
+double from_bits(uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+TEST(FormatDouble, MatchesPrintfSearchReference) {
+  size_t checked = 0;
+  size_t mismatches = 0;
+  std::string first_mismatches;
+  auto check_one = [&](double value) {
+    ++checked;
+    const std::string expected = printf_search_reference(value);
+    const std::string actual = format_double(value);
+    if (actual == expected || ++mismatches > 10) return;
+    char bits[32];
+    uint64_t raw = 0;
+    std::memcpy(&raw, &value, sizeof(raw));
+    std::snprintf(bits, sizeof(bits), "0x%016llx",
+                  static_cast<unsigned long long>(raw));
+    first_mismatches +=
+        std::string("\n  ") + bits + ": got " + actual + ", want " + expected;
+  };
+  auto check = [&](double value) {  // both signs, so -0.0 too
+    check_one(value);
+    check_one(-value);
+  };
+
+  // Seeded random bit patterns: both signs, every exponent, NaN payloads.
+  std::mt19937_64 rng(20211018);
+  for (int i = 0; i < 100000; ++i) check_one(from_bits(rng()));
+  // Every power of two and both neighbours, subnormals included.
+  for (int exp = -1074; exp <= 1023; ++exp) {
+    const double power = std::ldexp(1.0, exp);
+    check(power);
+    check(std::nextafter(power, 0.0));
+    check(std::nextafter(power, std::numeric_limits<double>::infinity()));
+  }
+  // Signed zero, NaN, the infinities and the extremes.
+  for (const double v : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::denorm_min()}) {
+    check(v);
+  }
+  // The "%.1f" boundary at 1e15, and %g's switch to exponent form below
+  // 1e-4 and at 10^P (P = 16, 17), each with its neighbours.
+  for (const double edge : {1e15, 1e15 - 1, 1e15 + 1, 1e15 - 0.5, 1e-5, 1e-4,
+                            1e16, 1e17, 9.999999999999999e15,
+                            9.999999999999999e16, 0.000099999, 0.00010001}) {
+    check(edge);
+    check(std::nextafter(edge, 0.0));
+    check(std::nextafter(edge, std::numeric_limits<double>::infinity()));
+  }
+  // Integral values above 2^53, where doubles skip integers: a 53-bit
+  // significand times 2^k, k >= 1.
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t significand = (rng() >> 11) | (uint64_t{1} << 52);
+    check(std::ldexp(static_cast<double>(significand),
+                     1 + static_cast<int>(rng() % 200)));
+  }
+  // Shapes the journal writes: virtual times with fractional seconds.
+  for (int i = 0; i < 5000; ++i) {
+    check(static_cast<double>(rng() % 10000000) / 1000.0 +
+          std::ldexp(static_cast<double>(rng() >> 11), -53));
+  }
+
+  EXPECT_GT(checked, 130000u);
+  EXPECT_EQ(mismatches, 0u) << first_mismatches;
+
+  EXPECT_EQ(format_double(0.1), "0.1");
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(format_double(1e20), "1e+20");
+  EXPECT_EQ(format_double(-2.5e-8), "-2.5e-08");
+  EXPECT_EQ(format_double(-0.0), "-0.0");
+  EXPECT_EQ(format_double(1234567890123456.0), "1234567890123456.0");
+  EXPECT_EQ(format_double(std::ldexp(1.0, 53)), "9007199254740992.0");
+  EXPECT_EQ(format_double(5e-324), "5e-324");
+  EXPECT_EQ(format_double(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(format_double(-std::numeric_limits<double>::infinity()), "-1e999");
 }
 
 TEST(FormatFixed, Precision) {
