@@ -1,8 +1,11 @@
 #include "savanna/campaign_runner.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "lint/rules.hpp"
 #include "obs/trace.hpp"
@@ -135,174 +138,210 @@ void apply_report_to_tracker(RunTracker& tracker, const ExecutionReport& report,
   }
 }
 
+CampaignDriver::CampaignDriver(sim::Simulation& sim,
+                               const std::vector<sim::TaskSpec>& tasks,
+                               CampaignRunOptions options, RunTracker* tracker,
+                               CampaignJournal* journal)
+    : sim_(sim),
+      tasks_(tasks),
+      options_(std::move(options)),
+      tracker_(tracker),
+      journal_(journal),
+      trace_jobs_(obs::tracing_enabled()) {
+  if (tasks.size() > std::numeric_limits<uint32_t>::max()) {
+    throw ValidationError("campaign driver: too many tasks");
+  }
+  if (journal_) journal_->set_group_commit(options_.journal.group_commit);
+  if (trace_jobs_) submissions_.assign(tasks.size(), 0);
+  // The one full read of the tracker. Retry state is seeded from it, so a
+  // resumed campaign schedules retries (backoff, exhaustion) exactly as the
+  // uninterrupted one would have.
+  pending_.reserve(tasks.size());
+  for (uint32_t index = 0; index < tasks.size(); ++index) {
+    const std::string& id = tasks[index].id;
+    if (tracker_) {
+      if (!tracker_->has_run(id)) tracker_->add_run(id);
+      const RunTracker::RunStatus status = tracker_->status(id);
+      if (status.state == "done" || status.state == "exhausted") continue;
+      if (trace_jobs_) submissions_[index] = static_cast<uint32_t>(status.attempts);
+      if (status.state == "failed" || status.state == "killed") {
+        retry_[index] = RetryState{status.attempts, status.last_time};
+      }
+    }
+    pending_.push_back(index);
+  }
+  std::reverse(pending_.begin(), pending_.end());
+}
+
+CampaignDriver::Step CampaignDriver::step() {
+  if (pending_.empty()) throw StateError("campaign driver: no pending runs");
+  Step out;
+
+  // Backoff eligibility: a run that failed n times is held back until
+  // last_end + backoff(n). Only runs with retry state can be held back.
+  size_t held_back = 0;
+  double next_ready = std::numeric_limits<double>::infinity();
+  auto count_held_back = [&] {
+    held_back = 0;
+    for (const auto& [index, state] : retry_) {
+      const double at = ready_at(state);
+      if (at > sim_.now()) {
+        ++held_back;
+        next_ready = std::min(next_ready, at);
+      }
+    }
+  };
+  count_held_back();
+  if (held_back == pending_.size()) {
+    // Everything is backing off: advance the virtual clock to the first
+    // retry-eligible instant instead of burning an allocation.
+    sim_.run_until(next_ready);
+    count_held_back();
+  }
+  const bool all_eligible = held_back == 0;
+  const double allocation_start = sim_.now();
+  auto eligible = [&](uint32_t index) {
+    if (held_back == 0) return true;
+    auto it = retry_.find(index);
+    return it == retry_.end() || ready_at(it->second) <= allocation_start;
+  };
+
+  if (trace_jobs_ && obs::tracing_enabled()) {
+    // Everything entering this allocation is a submission; a run seen
+    // before is a retry (its earlier attempt failed, was killed, or never
+    // started).
+    for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
+      ++out.walked;
+      if (!eligible(*it)) continue;
+      const std::string& id = tasks_[*it].id;
+      const int64_t attempt = submissions_[*it]++;
+      if (attempt > 0) {
+        obs::trace_instant_at(allocation_start, "savanna", "savanna.job.retry",
+                              {{"run", id}, {"attempt", attempt}});
+      }
+      obs::trace_instant_at(allocation_start, "savanna", "savanna.job.submit",
+                            {{"run", id}, {"attempt", attempt}});
+    }
+  }
+
+  // The executor pulls eligible runs off the front of the queue; entries
+  // [cursor, end) of pending_ are the ones it walked.
+  size_t cursor = pending_.size();
+  std::unordered_map<std::string_view, uint32_t> launched;
+  const TaskSource next_task = [&]() -> const sim::TaskSpec* {
+    while (cursor > 0) {
+      const uint32_t index = pending_[--cursor];
+      ++out.walked;
+      if (!eligible(index)) continue;
+      launched.emplace(tasks_[index].id, index);
+      return &tasks_[index];
+    }
+    return nullptr;
+  };
+  ExecutionReport report =
+      options_.backend == Backend::Pilot
+          ? run_pilot(sim_, next_task, options_.execution)
+          : run_set_synchronized(sim_, next_task, options_.execution);
+  // A walltime-killed run leaves no completion event, so the pilot can
+  // return with the clock short of the allocation's recorded end; advance
+  // it so allocation N+1 starts where N's provenance says N ended (and so
+  // no run's last_end sits in the future, which would defer it forever).
+  sim_.run_until(allocation_start + report.makespan_s);
+  const double allocation_end = sim_.now();
+
+  if (tracker_) apply_report_to_tracker(*tracker_, report, allocation_start);
+
+  // Charge each failure against the run's retry budget; a spent budget is
+  // terminal (`exhausted`) and the run is never re-submitted.
+  const double fallback_end = allocation_start + report.makespan_s;
+  const std::map<std::string, double> end_time =
+      interval_end_times(report, allocation_start);
+  std::unordered_set<uint32_t> finished;
+  auto charge_failure = [&](const std::string& id) {
+    const uint32_t index = launched.at(id);
+    RetryState& state = retry_[index];
+    ++state.failures;
+    state.last_end = end_or_fallback(end_time, id, fallback_end);
+    if (options_.retry.max_attempts > 0 &&
+        state.failures >= options_.retry.max_attempts) {
+      out.exhausted.push_back(id);
+      mark_run_exhausted(tracker_, id, state.last_end, state.failures);
+      retry_.erase(index);
+      finished.insert(index);
+    }
+  };
+  for (const std::string& id : report.failed) charge_failure(id);
+  for (const std::string& id : report.killed) charge_failure(id);
+
+  // Commit point: once this append returns, the allocation's provenance
+  // is durable and a crash-resume will not re-execute it.
+  if (journal_) {
+    Json record = report_to_json(report);
+    record["start"] = allocation_start;
+    record["end"] = allocation_end;
+    record["exhausted"] = ids_to_json(out.exhausted);
+    journal_->append_allocation(std::move(record));
+    // Checkpoint cadence: every N committed allocations, summarize the
+    // live-run state so a future resume replays O(live tail) instead of
+    // the whole history — optionally folding that history away on the
+    // spot. append_checkpoint flushes any group-commit batch first.
+    if (tracker_ && options_.journal.checkpoint_every > 0 &&
+        journal_->next_allocation_index() % options_.journal.checkpoint_every ==
+            0) {
+      journal_->append_checkpoint(tracker_->to_json_started(), sim_.now());
+      if (options_.journal.compact_after_checkpoint) journal_->compact();
+    }
+  }
+
+  // Everything neither completed nor exhausted stays queued, in manifest
+  // order (failed and killed runs retry; unstarted runs start). Only the
+  // walked entries can have finished.
+  for (const std::string& id : report.completed) {
+    const uint32_t index = launched.at(id);
+    retry_.erase(index);
+    finished.insert(index);
+  }
+  size_t kept = cursor;
+  for (size_t at = cursor; at < pending_.size(); ++at) {
+    if (!finished.count(pending_[at])) pending_[kept++] = pending_[at];
+  }
+  pending_.resize(kept);
+
+  // Zero-progress guards (an identical re-submission can only repeat
+  // itself): if nothing even started, stop unconditionally; if attempts
+  // were made but nothing completed or exhausted, stop unless retry
+  // budgets are set — with budgets, repeated failures are progress toward
+  // exhaustion, which terminates the loop on its own.
+  const bool nothing_ran = report.completed.empty() && report.failed.empty() &&
+                           report.killed.empty();
+  out.stalled = all_eligible &&
+                (nothing_ran ||
+                 (finished.empty() && options_.retry.max_attempts == 0));
+  out.report = std::move(report);
+  return out;
+}
+
 CampaignRunResult run_with_resubmission(sim::Simulation& sim,
                                         const std::vector<sim::TaskSpec>& tasks,
                                         const CampaignRunOptions& options,
                                         RunTracker* tracker,
                                         CampaignJournal* journal) {
   CampaignRunResult result;
-  if (journal) journal->set_group_commit(options.journal.group_commit);
-
-  // Retry bookkeeping: failures so far and when the last one ended. Seeded
-  // from the tracker so a resumed campaign schedules retries (backoff,
-  // exhaustion) exactly as the uninterrupted one would have.
-  struct RetryState {
-    size_t failures = 0;
-    double last_end = 0;
-  };
-  std::map<std::string, RetryState> retry_state;
-  // Per-run submission count, read only by the savanna.job.submit/retry
-  // events: built only when tracing is on at entry.
-  const bool trace_jobs = obs::tracing_enabled();
-  std::map<std::string, int> submissions;
-
-  std::vector<sim::TaskSpec> remaining;
-  remaining.reserve(tasks.size());
-  for (const sim::TaskSpec& task : tasks) {
-    if (tracker) {
-      if (!tracker->has_run(task.id)) tracker->add_run(task.id);
-      const RunTracker::RunStatus status = tracker->status(task.id);
-      if (status.state == "done" || status.state == "exhausted") continue;
-      if (trace_jobs) submissions[task.id] = static_cast<int>(status.attempts);
-      if (status.state == "failed" || status.state == "killed") {
-        retry_state[task.id] = RetryState{status.attempts, status.last_time};
-      }
-    }
-    remaining.push_back(task);
-  }
-
-  while (!remaining.empty()) {
-    if (options.max_allocations > 0 &&
-        result.allocations_used >= options.max_allocations) {
-      break;
-    }
-
-    // Partition by backoff eligibility: a run that failed n times is held
-    // back until last_end + backoff(n).
-    std::vector<sim::TaskSpec> eligible;
-    eligible.reserve(remaining.size());
-    double next_ready = std::numeric_limits<double>::infinity();
-    for (const sim::TaskSpec& task : remaining) {
-      double ready_at = 0;
-      auto it = retry_state.find(task.id);
-      if (it != retry_state.end() && it->second.failures > 0) {
-        ready_at = it->second.last_end +
-                   options.retry.backoff_after(it->second.failures);
-      }
-      if (ready_at > sim.now()) {
-        next_ready = std::min(next_ready, ready_at);
-      } else {
-        eligible.push_back(task);
-      }
-    }
-    if (eligible.empty()) {
-      // Everything is backing off: advance the virtual clock to the first
-      // retry-eligible instant instead of burning an allocation.
-      sim.run_until(next_ready);
-      continue;
-    }
-    const bool all_eligible = eligible.size() == remaining.size();
-
-    const double allocation_start = sim.now();
-    if (trace_jobs && obs::tracing_enabled()) {
-      // Everything entering this allocation is a submission; a run seen
-      // before is a retry (its earlier attempt failed, was killed, or never
-      // started).
-      for (const sim::TaskSpec& task : eligible) {
-        const int attempt = submissions[task.id]++;
-        if (attempt > 0) {
-          obs::trace_instant_at(allocation_start, "savanna",
-                                "savanna.job.retry",
-                                {{"run", task.id}, {"attempt", attempt}});
-        }
-        obs::trace_instant_at(allocation_start, "savanna", "savanna.job.submit",
-                              {{"run", task.id}, {"attempt", attempt}});
-      }
-    }
-    ExecutionReport report =
-        options.backend == Backend::Pilot
-            ? run_pilot(sim, eligible, options.execution)
-            : run_set_synchronized(sim, eligible, options.execution);
-    // A walltime-killed run leaves no completion event, so the pilot can
-    // return with the clock short of the allocation's recorded end; advance
-    // it so allocation N+1 starts where N's provenance says N ended (and so
-    // no run's last_end sits in the future, which would defer it forever).
-    sim.run_until(allocation_start + report.makespan_s);
-    const double allocation_end = sim.now();
+  CampaignDriver driver(sim, tasks, options, tracker, journal);
+  while (driver.remaining() > 0 &&
+         (options.max_allocations == 0 ||
+          result.allocations_used < options.max_allocations)) {
+    CampaignDriver::Step step = driver.step();
     ++result.allocations_used;
-    result.completed_runs += report.completed.size();
-    result.total_node_seconds += report.allocation_node_seconds;
-    result.total_busy_node_seconds += report.busy_node_seconds;
-
-    if (tracker) apply_report_to_tracker(*tracker, report, allocation_start);
-
-    // Charge each failure against the run's retry budget; a spent budget is
-    // terminal (`exhausted`) and the run is never re-submitted.
-    const double fallback_end = allocation_start + report.makespan_s;
-    const std::map<std::string, double> end_time =
-        interval_end_times(report, allocation_start);
-    std::vector<std::string> newly_exhausted;
-    auto charge_failure = [&](const std::string& id) {
-      RetryState& state = retry_state[id];
-      ++state.failures;
-      state.last_end = end_or_fallback(end_time, id, fallback_end);
-      if (options.retry.max_attempts > 0 &&
-          state.failures >= options.retry.max_attempts) {
-        newly_exhausted.push_back(id);
-        mark_run_exhausted(tracker, id, state.last_end, state.failures);
-      }
-    };
-    for (const std::string& id : report.failed) charge_failure(id);
-    for (const std::string& id : report.killed) charge_failure(id);
-    result.exhausted.insert(result.exhausted.end(), newly_exhausted.begin(),
-                            newly_exhausted.end());
-
-    // Commit point: once this append returns, the allocation's provenance
-    // is durable and a crash-resume will not re-execute it.
-    if (journal) {
-      Json record = report_to_json(report);
-      record["start"] = allocation_start;
-      record["end"] = allocation_end;
-      record["exhausted"] = ids_to_json(newly_exhausted);
-      journal->append_allocation(std::move(record));
-      // Checkpoint cadence: every N committed allocations, summarize the
-      // live-run state so a future resume replays O(live tail) instead of
-      // the whole history — optionally folding that history away on the
-      // spot. append_checkpoint flushes any group-commit batch first.
-      if (tracker && options.journal.checkpoint_every > 0 &&
-          journal->next_allocation_index() % options.journal.checkpoint_every ==
-              0) {
-        journal->append_checkpoint(tracker->to_json_started(), sim.now());
-        if (options.journal.compact_after_checkpoint) journal->compact();
-      }
-    }
-
-    // Everything neither completed nor exhausted goes into the next
-    // allocation, preserving original order (failed and killed runs retry;
-    // unstarted runs start).
-    std::set<std::string> finished(report.completed.begin(),
-                                   report.completed.end());
-    finished.insert(newly_exhausted.begin(), newly_exhausted.end());
-    std::vector<sim::TaskSpec> next;
-    next.reserve(remaining.size());
-    for (const sim::TaskSpec& task : remaining) {
-      if (!finished.count(task.id)) next.push_back(task);
-    }
-
-    // Zero-progress guards (an identical re-submission can only repeat
-    // itself): if nothing even started, stop unconditionally; if attempts
-    // were made but nothing completed or exhausted, stop unless retry
-    // budgets are set — with budgets, repeated failures are progress toward
-    // exhaustion, which terminates the loop on its own.
-    const bool nothing_ran = report.completed.empty() &&
-                             report.failed.empty() && report.killed.empty();
-    const bool zero_progress = finished.empty();
-    result.reports.push_back(std::move(report));
-    remaining = std::move(next);
-    if (all_eligible && nothing_ran) break;
-    if (all_eligible && zero_progress && options.retry.max_attempts == 0) break;
+    result.completed_runs += step.report.completed.size();
+    result.total_node_seconds += step.report.allocation_node_seconds;
+    result.total_busy_node_seconds += step.report.busy_node_seconds;
+    result.exhausted.insert(result.exhausted.end(), step.exhausted.begin(),
+                            step.exhausted.end());
+    result.reports.push_back(std::move(step.report));
+    if (step.stalled) break;
   }
-  result.remaining_runs = remaining.size();
+  result.remaining_runs = driver.remaining();
   // Durably commit any group-commit tail before handing the journal back.
   if (journal) journal->flush();
   return result;

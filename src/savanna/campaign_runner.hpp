@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <unordered_map>
 
 #include "savanna/executor.hpp"
 #include "savanna/journal.hpp"
@@ -94,6 +96,73 @@ struct CampaignRunResult {
 void apply_report_to_tracker(RunTracker& tracker, const ExecutionReport& report,
                              double allocation_start);
 
+/// One campaign's execution state, held across allocations: the runs
+/// still pending, in manifest order, and the retry state of the failed and
+/// killed ones. The constructor reads the tracker once, so a resumed
+/// campaign skips what is done or exhausted and keeps its attempt counts
+/// and backoff. Each step() then runs one allocation and touches only the
+/// runs that allocation launches. run_with_resubmission is a loop over
+/// step(); fairflowd keeps one driver per campaign across its slices.
+///
+/// `sim`, `tasks`, `tracker` and `journal` must outlive the driver.
+class CampaignDriver {
+ public:
+  CampaignDriver(sim::Simulation& sim, const std::vector<sim::TaskSpec>& tasks,
+                 CampaignRunOptions options, RunTracker* tracker = nullptr,
+                 CampaignJournal* journal = nullptr);
+
+  CampaignDriver(const CampaignDriver&) = delete;
+  CampaignDriver& operator=(const CampaignDriver&) = delete;
+
+  /// What one step did.
+  struct Step {
+    ExecutionReport report;
+    std::vector<std::string> exhausted;  // runs whose budget this step spent
+    /// A zero-progress break: every pending run was eligible, and the
+    /// allocation started nothing, or (without retry budgets) finished
+    /// nothing. Re-submitting the same runs can only repeat it.
+    bool stalled = false;
+    /// Pending entries this step visited; about the runs it launched.
+    size_t walked = 0;
+  };
+
+  /// One allocation, as one turn of the re-submission loop: wait out the
+  /// backoff when every pending run is held back, launch the eligible runs
+  /// in manifest order, apply the report to the tracker, charge failures
+  /// (exhausting spent budgets), append the journal record (plus the
+  /// checkpoint/compaction its cadence owes), and drop the runs that
+  /// finished. Throws StateError when nothing is pending.
+  Step step();
+
+  /// Runs neither done nor exhausted.
+  size_t remaining() const noexcept { return pending_.size(); }
+
+ private:
+  struct RetryState {
+    size_t failures = 0;
+    double last_end = 0;
+  };
+  double ready_at(const RetryState& state) const {
+    return state.last_end + options_.retry.backoff_after(state.failures);
+  }
+
+  sim::Simulation& sim_;
+  const std::vector<sim::TaskSpec>& tasks_;
+  const CampaignRunOptions options_;
+  RunTracker* const tracker_;
+  CampaignJournal* const journal_;
+  /// Task indices of the pending runs, the front of the queue at the back,
+  /// so the runs an allocation pulls come off the end.
+  std::vector<uint32_t> pending_;
+  /// Failures so far and when the last one ended: failed and killed runs
+  /// only, by task index.
+  std::unordered_map<uint32_t, RetryState> retry_;
+  /// Per-run submission counts for savanna.job.submit/retry, kept only
+  /// when tracing is on at construction.
+  const bool trace_jobs_;
+  std::vector<uint32_t> submissions_;
+};
+
 /// Execute a task ensemble with re-submission semantics: each allocation
 /// runs whatever is still incomplete; "the SweepGroup is simply
 /// re-submitted, and Savanna resumes execution of the experiments". The
@@ -106,6 +175,8 @@ void apply_report_to_tracker(RunTracker& tracker, const ExecutionReport& report,
 /// the process at any instant and resume_campaign() continues from the
 /// last committed allocation. Runs already tracked in `tracker` (the
 /// resume path) keep their attempt counts and backoff eligibility.
+/// This is a CampaignDriver stepped up to `max_allocations` times (until a
+/// zero-progress break when 0), then a journal flush.
 CampaignRunResult run_with_resubmission(sim::Simulation& sim,
                                         const std::vector<sim::TaskSpec>& tasks,
                                         const CampaignRunOptions& options,

@@ -76,7 +76,7 @@ struct Recorder {
 }  // namespace
 
 ExecutionReport run_set_synchronized(sim::Simulation& sim,
-                                     const std::vector<sim::TaskSpec>& tasks,
+                                     const TaskSource& next_task,
                                      const ExecutionOptions& options) {
   validate(options);
   const int set_size =
@@ -85,35 +85,30 @@ ExecutionReport run_set_synchronized(sim::Simulation& sim,
   const double t0 = sim.now();
   Recorder recorder(options, t0, "set");
   double set_start = t0;
-  size_t next = 0;
-  while (next < tasks.size()) {
-    if (set_start - t0 >= options.walltime_s) break;  // allocation exhausted
-    const size_t set_end_index = std::min(next + static_cast<size_t>(set_size),
-                                          tasks.size());
+  // A set launches only while the allocation has walltime left.
+  while (set_start - t0 < options.walltime_s) {
     double barrier = set_start;
-    for (size_t i = next; i < set_end_index; ++i) {
-      const sim::TaskSpec& task = tasks[i];
-      const int node = static_cast<int>(i - next);
+    int node = 0;
+    for (; node < set_size; ++node) {
+      const sim::TaskSpec* task = next_task();
+      if (!task) break;
       const double start = set_start;
-      const double end = start + options.startup_cost_s + task.duration_s;
-      const bool failed = options.fails && options.fails(task, node);
-      const bool fits = recorder.record(node, start, end, task.id, failed);
+      const double end = start + options.startup_cost_s + task->duration_s;
+      const bool failed = options.fails && options.fails(*task, node);
+      const bool fits = recorder.record(node, start, end, task->id, failed);
       if (!fits) {
-        recorder.report.killed.push_back(task.id);
+        recorder.report.killed.push_back(task->id);
       } else if (failed) {
-        recorder.report.failed.push_back(task.id);
+        recorder.report.failed.push_back(task->id);
       } else {
-        recorder.report.completed.push_back(task.id);
+        recorder.report.completed.push_back(task->id);
       }
       barrier = std::max(barrier, std::min(end, t0 + options.walltime_s));
     }
+    if (node == 0) break;  // the source ran dry
     // The explicit end-of-set synchronization: the whole set waits for its
     // slowest member before the next set is launched.
-    next = set_end_index;
     set_start = barrier;
-  }
-  for (size_t i = next; i < tasks.size(); ++i) {
-    recorder.report.not_started.push_back(tasks[i].id);
   }
   // Advance virtual time to the end of the allocation's activity.
   sim.run_until(t0 + recorder.report.makespan_s);
@@ -121,8 +116,16 @@ ExecutionReport run_set_synchronized(sim::Simulation& sim,
   return recorder.report;
 }
 
-ExecutionReport run_pilot(sim::Simulation& sim,
-                          const std::vector<sim::TaskSpec>& tasks,
+ExecutionReport run_set_synchronized(sim::Simulation& sim,
+                                     const std::vector<sim::TaskSpec>& tasks,
+                                     const ExecutionOptions& options) {
+  size_t next = 0;
+  return run_set_synchronized(
+      sim, [&] { return next < tasks.size() ? &tasks[next++] : nullptr; },
+      options);
+}
+
+ExecutionReport run_pilot(sim::Simulation& sim, const TaskSource& next_task,
                           const ExecutionOptions& options) {
   validate(options);
   const double t0 = sim.now();
@@ -130,46 +133,42 @@ ExecutionReport run_pilot(sim::Simulation& sim,
 
   // Event-driven greedy list scheduling: every node pulls the next pending
   // task the moment it frees.
-  size_t next = 0;
-  size_t in_flight = 0;
-
   std::function<void(int)> assign = [&](int node) {
-    if (next >= tasks.size()) return;
     if (sim.now() - t0 >= options.walltime_s) return;  // cannot launch anymore
-    const sim::TaskSpec& task = tasks[next++];
-    ++in_flight;
+    const sim::TaskSpec* task = next_task();
+    if (!task) return;
     const double start = sim.now();
-    const double end = start + options.startup_cost_s + task.duration_s;
-    const bool failed = options.fails && options.fails(task, node);
-    const bool fits = recorder.record(node, start, end, task.id, failed);
+    const double end = start + options.startup_cost_s + task->duration_s;
+    const bool failed = options.fails && options.fails(*task, node);
+    const bool fits = recorder.record(node, start, end, task->id, failed);
     if (!fits) {
-      recorder.report.killed.push_back(task.id);
       // Node is lost to the walltime; no completion event needed.
-      --in_flight;
+      recorder.report.killed.push_back(task->id);
       return;
     }
-    sim.schedule_at(end, [&, node, failed, id = task.id] {
+    sim.schedule_at(end, [&, node, failed, task] {
       if (failed) {
-        recorder.report.failed.push_back(id);
+        recorder.report.failed.push_back(task->id);
       } else {
-        recorder.report.completed.push_back(id);
+        recorder.report.completed.push_back(task->id);
       }
-      --in_flight;
       assign(node);
     });
   };
 
-  for (int node = 0; node < options.nodes && next < tasks.size(); ++node) {
-    assign(node);
-  }
+  for (int node = 0; node < options.nodes; ++node) assign(node);
   sim.run();
-  (void)in_flight;
-
-  for (size_t i = next; i < tasks.size(); ++i) {
-    recorder.report.not_started.push_back(tasks[i].id);
-  }
   recorder.finalize();
   return recorder.report;
+}
+
+ExecutionReport run_pilot(sim::Simulation& sim,
+                          const std::vector<sim::TaskSpec>& tasks,
+                          const ExecutionOptions& options) {
+  size_t next = 0;
+  return run_pilot(
+      sim, [&] { return next < tasks.size() ? &tasks[next++] : nullptr; },
+      options);
 }
 
 }  // namespace ff::savanna

@@ -39,8 +39,7 @@ struct ExecutionReport {
   std::vector<std::vector<Interval>> node_timeline;  // [node] -> intervals
   std::vector<std::string> completed;
   std::vector<std::string> failed;
-  std::vector<std::string> killed;       // running at walltime
-  std::vector<std::string> not_started;  // never launched in this allocation
+  std::vector<std::string> killed;  // running at walltime
 
   double busy_node_seconds = 0;
   double allocation_node_seconds = 0;  // nodes * min(makespan, walltime)
@@ -55,10 +54,20 @@ struct ExecutionReport {
   // trace stream — the executors emit savanna.job.* events for that.
 };
 
+/// Where an executor takes its runs from: each call returns the next run
+/// to launch, or nullptr when none is left (and keeps returning nullptr).
+/// An executor calls it only when a node can launch, so every run it hands
+/// out is launched, and runs it never hands out stay with the caller. The
+/// task must stay alive until the executor returns.
+using TaskSource = std::function<const sim::TaskSpec*()>;
+
 /// The *original* iRF-LOOP workflow of Section V-D: runs are submitted in
 /// static sets "with explicit synchronization at the end of a set", so
 /// every set waits for its slowest member ("straggler processes can
 /// severely limit the performance of the overall workflow").
+ExecutionReport run_set_synchronized(sim::Simulation& sim,
+                                     const TaskSource& next_task,
+                                     const ExecutionOptions& options);
 ExecutionReport run_set_synchronized(sim::Simulation& sim,
                                      const std::vector<sim::TaskSpec>& tasks,
                                      const ExecutionOptions& options);
@@ -67,6 +76,8 @@ ExecutionReport run_set_synchronized(sim::Simulation& sim,
 /// and tracks runs on the allocated nodes", assigning the next pending run
 /// to whichever node frees first. No set barriers, no idle tails except the
 /// final drain.
+ExecutionReport run_pilot(sim::Simulation& sim, const TaskSource& next_task,
+                          const ExecutionOptions& options);
 ExecutionReport run_pilot(sim::Simulation& sim,
                           const std::vector<sim::TaskSpec>& tasks,
                           const ExecutionOptions& options);

@@ -162,11 +162,12 @@ Json CampaignInfo::to_json() const {
 }
 
 /// One multiplexed campaign: endpoint + deterministic task list + the
-/// persistent simulation/tracker/journal its slices accumulate into. A
-/// campaign without an open journal (adopted from disk, or whose journal
-/// closed on a failure) is rebuilt from that journal by its next slice,
-/// once, and runs in memory from then on — byte-identical either way (the
-/// runner's resume equivalence).
+/// persistent simulation/tracker/journal its slices accumulate into, and
+/// the driver that steps it one allocation per slice. A campaign without
+/// an open journal (adopted from disk, or whose journal closed on a
+/// failure) is rebuilt from that journal by its next slice, once, and runs
+/// in memory from then on — byte-identical either way (the runner's resume
+/// equivalence).
 struct ServiceCore::CampaignState {
   /// The one builder, for submit and adoption alike: walk the chosen group
   /// lazily into the task list (a RunSpec lives only for its loop turn, so
@@ -210,6 +211,9 @@ struct ServiceCore::CampaignState {
   std::unique_ptr<savanna::RunTracker> tracker =
       std::make_unique<savanna::RunTracker>();
   savanna::CampaignJournal journal;
+  // Built by the first slice (after recovery for an adopted campaign);
+  // declared after what it references, so it is destroyed first.
+  std::optional<savanna::CampaignDriver> driver;
   std::string state = "queued";
   size_t allocations = 0;
   std::string error;
@@ -474,9 +478,7 @@ void ServiceCore::run_slice(const std::string& name) {
 
   // One allocation grant. Outside the lock: the slice touches only this
   // campaign's state, and in_flight guarantees exclusivity.
-  savanna::CampaignRunOptions slice_options = campaign->options;
-  slice_options.max_allocations = 1;
-  savanna::CampaignRunResult result;
+  bool allocated = false;
   std::string failure;
   // Attribute this thread's savanna.* trace events (which carry no campaign
   // arg of their own) to this campaign for subscribe streaming.
@@ -486,17 +488,30 @@ void ServiceCore::run_slice(const std::string& name) {
       // Adopted, or the journal closed on a failure: rebuild simulation and
       // tracker from the journal (O(live tail) with checkpoints), once —
       // the journal stays open, so every later slice runs in memory.
+      campaign->driver.reset();
       campaign->sim = std::make_unique<sim::Simulation>();
       campaign->tracker = std::make_unique<savanna::RunTracker>();
       campaign->journal = savanna::recover_campaign(
           *campaign->sim, campaign->tasks, campaign->options, *campaign->tracker,
           campaign->endpoint->journal_path(), name);
     }
-    result = savanna::run_with_resubmission(*campaign->sim, campaign->tasks,
-                                            slice_options, campaign->tracker.get(),
-                                            &campaign->journal);
+    if (!campaign->driver) {
+      campaign->driver.emplace(*campaign->sim, campaign->tasks,
+                               campaign->options, campaign->tracker.get(),
+                               &campaign->journal);
+    }
+    if (campaign->driver->remaining() > 0) {
+      campaign->driver->step();
+      allocated = true;
+    }
+    campaign->journal.flush();
   } catch (const std::exception& error) {
     failure = error.what();
+    // The tracker may now hold what the journal lost. Close the journal
+    // (quietly: the slice has already failed) and drop the driver, so the
+    // next slice rebuilds the campaign from what the journal holds.
+    campaign->driver.reset();
+    campaign->journal = savanna::CampaignJournal();
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -506,7 +521,7 @@ void ServiceCore::run_slice(const std::string& name) {
     campaign->error = failure;
     set_state_locked(*campaign, "failed");
   } else {
-    campaign->allocations += result.allocations_used;
+    if (allocated) ++campaign->allocations;
     emit_locked("service.slice",
                 {{"campaign", name},
                  {"alloc", static_cast<int64_t>(campaign->allocations)}});
@@ -519,7 +534,7 @@ void ServiceCore::run_slice(const std::string& name) {
     campaign->last_terminal_runs = terminal;
     campaign->last_attempts = attempts;
 
-    if (result.remaining_runs == 0) {
+    if (campaign->driver->remaining() == 0) {
       finalize_locked(*campaign);
     } else if (campaign->cancel_requested) {
       campaign->cancel_requested = false;

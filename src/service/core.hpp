@@ -77,11 +77,11 @@ struct CampaignInfo {
 /// the same campaign. Each campaign's provenance clock stays campaign-local
 /// (allocations accumulate virtual time exactly as in the batch runner), so
 /// a campaign's journal and tracker are byte-identical to an uninterrupted
-/// batch execution: slicing re-enters run_with_resubmission with
-/// max_allocations = 1 against the campaign's persistent simulation,
-/// tracker, and journal — the documented resume-path equivalence. A
-/// campaign adopted from disk is first rebuilt from its journal, once
-/// (savanna::recover_campaign), and then sliced the same way.
+/// batch execution: each campaign keeps one savanna::CampaignDriver over
+/// its persistent simulation, tracker, and journal, and a slice is one
+/// step() of it — one turn of the batch loop. A campaign adopted from disk
+/// is first rebuilt from its journal, once (savanna::recover_campaign), and
+/// then sliced the same way.
 class ServiceCore {
  public:
   struct Options {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
@@ -209,6 +210,111 @@ TEST(ServiceCore, CancelThenResumeStillMatchesBatch) {
   EXPECT_EQ(info.state, "done") << info.error;
   // The interruption must be invisible in the provenance.
   expect_byte_identical_to_batch(info.directory, manifest, dir.file("batch"));
+}
+
+/// Throws IoError from the `nth` allocation append, before any of its bytes
+/// reach the disk. Uninstalls on scope exit.
+class FailNthAppend {
+ public:
+  explicit FailNthAppend(size_t nth) {
+    savanna::CampaignJournal::set_test_write_hook(
+        [this, nth](savanna::CampaignJournal::WriteKind kind,
+                    savanna::CampaignJournal::WritePhase phase, size_t) {
+          if (kind == savanna::CampaignJournal::WriteKind::Append &&
+              phase == savanna::CampaignJournal::WritePhase::BeforeWrite &&
+              ++appends_ == nth) {
+            throw IoError("injected journal append failure");
+          }
+        });
+  }
+  ~FailNthAppend() { savanna::CampaignJournal::set_test_write_hook(nullptr); }
+
+ private:
+  size_t appends_ = 0;  // touched only by the one slice thread
+};
+
+// A slice that throws after its allocation reached the tracker but not the
+// journal must not leave that allocation in memory: resume continues from
+// what the journal holds, and the finished campaign equals batch.
+TEST(ServiceCore, FailedSliceResumesFromItsJournal) {
+  for (const size_t group_commit : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("group_commit " + std::to_string(group_commit));
+    TempDir dir;
+    const Json manifest = sliced_manifest("flaky");
+    savanna::JournalPolicy policy;
+    policy.group_commit = group_commit;
+    ServiceCore::Options options;
+    options.root = dir.file("service");
+    options.workers = 1;
+    ServiceCore core(options);
+    CampaignConfig config = config_for(manifest);
+    config.journal = policy;
+    {
+      FailNthAppend failure(2);
+      core.submit(config, "s1");
+      core.drain();
+    }
+    ASSERT_EQ(core.info("flaky").state, "failed");
+    EXPECT_NE(core.info("flaky").error.find("injected"), std::string::npos);
+
+    core.resume("flaky");
+    core.drain();
+    const CampaignInfo info = core.info("flaky");
+    EXPECT_EQ(info.state, "done") << info.error;
+    EXPECT_EQ(info.counts.done, 6u);
+    expect_byte_identical_to_batch(info.directory, manifest, dir.file("batch"),
+                                   policy);
+  }
+}
+
+/// The savanna.job.submit/retry events in emission order, as
+/// "name run@attempt", drained from the trace recorder.
+std::vector<std::string> job_submissions() {
+  std::vector<std::string> out;
+  for (const obs::TraceEvent& event : obs::TraceRecorder::instance().flush()) {
+    if (std::strcmp(event.name, "savanna.job.submit") != 0 &&
+        std::strcmp(event.name, "savanna.job.retry") != 0) {
+      continue;
+    }
+    std::string line = event.name;
+    for (size_t i = 0; i < event.arg_count; ++i) {
+      const obs::Arg& arg = event.args[i];
+      if (std::strcmp(arg.key, "run") == 0) line += " " + arg.str_value;
+      if (std::strcmp(arg.key, "attempt") == 0) {
+        line += "@" + std::to_string(arg.int_value);
+      }
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+// A run that waits through a slice unstarted was submitted in it: its next
+// submission is a retry with the next attempt number, in fairflowd as in
+// batch.
+TEST(ServiceCore, JobTraceMatchesBatch) {
+  TempDir dir;
+  const Json manifest = sliced_manifest("jobs");
+  obs::TraceRecorder::instance().clear();
+  obs::set_tracing(true);
+  {
+    ServiceCore::Options options;
+    options.root = dir.file("service");
+    options.workers = 1;
+    ServiceCore core(options);
+    core.submit(config_for(manifest), "s1");
+    core.drain();
+    EXPECT_EQ(core.info("jobs").state, "done");
+  }
+  const std::vector<std::string> service = job_submissions();
+  run_batch_reference(manifest, dir.file("batch"));
+  const std::vector<std::string> batch = job_submissions();
+  obs::set_tracing(false);
+  EXPECT_EQ(obs::TraceRecorder::instance().dropped(), 0u);
+  EXPECT_TRUE(std::any_of(batch.begin(), batch.end(), [](const std::string& line) {
+    return line.rfind("savanna.job.retry ", 0) == 0;
+  }));
+  EXPECT_EQ(service, batch);
 }
 
 TEST(ServiceCore, ResumeRejectsTerminalAndScheduledStates) {
