@@ -1,87 +1,11 @@
 #include "savanna/batch_runner.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
+#include <functional>
 
 #include "util/error.hpp"
 
 namespace ff::savanna {
-
-namespace {
-
-/// Mutable driver state shared by the event callbacks. Lives on the stack
-/// of run_campaign_through_batch, which outlives sim.run().
-struct Driver {
-  sim::Simulation* sim = nullptr;
-  sim::BatchSystem* batch = nullptr;
-  const CampaignRunOptions* options = nullptr;
-  RunTracker* tracker = nullptr;
-  std::vector<sim::TaskSpec> remaining;
-  BatchCampaignReport report;
-  double first_submit_time = 0;
-  double last_completion_time = 0;
-
-  void submit_next() {
-    if (remaining.empty()) return;
-    if (options->max_allocations > 0 &&
-        report.inner.allocations_used >= options->max_allocations) {
-      return;
-    }
-    sim::BatchSystem::JobRequest request;
-    request.name = "campaign-alloc-" + std::to_string(report.jobs_submitted);
-    request.nodes = options->execution.nodes;
-    request.walltime_s = options->execution.walltime_s;
-    const double submitted_at = sim->now();
-    request.on_start = [this, submitted_at](const sim::Allocation& allocation) {
-      on_allocation(allocation, submitted_at);
-    };
-    ++report.jobs_submitted;
-    batch->submit(std::move(request));
-  }
-
-  void on_allocation(const sim::Allocation& allocation, double submitted_at) {
-    report.total_queue_wait_s += allocation.start_time - submitted_at;
-
-    // Execute this allocation's share on a private clock; only its elapsed
-    // time is charged to the outer simulation.
-    sim::Simulation inner;
-    ExecutionReport exec =
-        options->backend == Backend::Pilot
-            ? run_pilot(inner, remaining, options->execution)
-            : run_set_synchronized(inner, remaining, options->execution);
-
-    if (tracker) {
-      apply_report_to_tracker(*tracker, exec, allocation.start_time);
-    }
-
-    const std::set<std::string> done(exec.completed.begin(), exec.completed.end());
-    const bool progressed = !exec.completed.empty();
-    std::vector<sim::TaskSpec> next;
-    for (const sim::TaskSpec& task : remaining) {
-      if (!done.count(task.id)) next.push_back(task);
-    }
-
-    ++report.inner.allocations_used;
-    report.inner.completed_runs += exec.completed.size();
-    report.inner.total_node_seconds += exec.allocation_node_seconds;
-    report.inner.total_busy_node_seconds += exec.busy_node_seconds;
-    const double used = std::min(exec.makespan_s, options->execution.walltime_s);
-    report.inner.reports.push_back(std::move(exec));
-    remaining = std::move(next);
-
-    sim->schedule_after(used, [this, allocation, progressed] {
-      last_completion_time = sim->now();
-      batch->complete(allocation);
-      // No-progress guard: a remainder that cannot fit any allocation
-      // (e.g. one task longer than the walltime) must not loop forever.
-      if (progressed) submit_next();
-    });
-  }
-};
-
-}  // namespace
 
 BatchCampaignReport run_campaign_through_batch(sim::Simulation& sim,
                                                sim::BatchSystem& batch,
@@ -91,22 +15,41 @@ BatchCampaignReport run_campaign_through_batch(sim::Simulation& sim,
   if (!std::isfinite(options.execution.walltime_s)) {
     throw Error("run_campaign_through_batch: walltime must be finite");
   }
-  Driver driver;
-  driver.sim = &sim;
-  driver.batch = &batch;
-  driver.options = &options;
-  driver.tracker = tracker;
-  driver.remaining = tasks;
-  driver.first_submit_time = sim.now();
-  if (tracker) {
-    for (const sim::TaskSpec& task : tasks) tracker->add_run(task.id);
-  }
-  driver.submit_next();
+  // The runs execute on a clock of their own, which each allocation
+  // advances to its start on the batch clock; the batch clock is then
+  // charged what the allocation's step advanced it (a backoff wait
+  // included), so queue waits and compute interleave on one timeline.
+  sim::Simulation inner;
+  CampaignDriver driver(inner, tasks, options, tracker);
+  BatchCampaignReport report;
+  const double first_submit_time = sim.now();
+  double last_completion_time = first_submit_time;
+
+  std::function<void()> submit = [&] {
+    sim::BatchSystem::JobRequest request;
+    request.name = "campaign-alloc-" + std::to_string(report.jobs_submitted);
+    request.nodes = options.execution.nodes;
+    request.walltime_s = options.execution.walltime_s;
+    const double submitted_at = sim.now();
+    request.on_start = [&, submitted_at](const sim::Allocation& allocation) {
+      report.total_queue_wait_s += allocation.start_time - submitted_at;
+      inner.run_until(allocation.start_time);
+      const bool more = driver.step_into(report.inner);
+      const double used = inner.now() - allocation.start_time;
+      sim.schedule_after(used, [&, allocation, more] {
+        last_completion_time = sim.now();
+        batch.complete(allocation);
+        if (more) submit();
+      });
+    };
+    ++report.jobs_submitted;
+    batch.submit(std::move(request));
+  };
+  if (driver.remaining() > 0) submit();
   sim.run();
-  driver.report.inner.remaining_runs = driver.remaining.size();
-  driver.report.total_wall_s =
-      driver.last_completion_time - driver.first_submit_time;
-  return driver.report;
+  report.inner.remaining_runs = driver.remaining();
+  report.total_wall_s = last_completion_time - first_submit_time;
+  return report;
 }
 
 }  // namespace ff::savanna

@@ -17,11 +17,14 @@ struct BatchCampaignReport {
   size_t jobs_submitted = 0;
 };
 
-/// Run `tasks` to completion (or until `options.max_allocations`) on
-/// `batch`, re-submitting the remainder after each allocation ends.
-/// The executor runs in an inner virtual clock whose elapsed time is
-/// charged to the outer simulation, so queue waits and compute interleave
-/// correctly on one timeline.
+/// Run `tasks` on `batch` the way run_with_resubmission runs them: one
+/// CampaignDriver step per batch job, re-submitting the remainder after
+/// each allocation ends for as long as the driver goes on (runs remain, no
+/// zero-progress break, `options.max_allocations` not reached), with
+/// `options.retry` applied. The runs execute on an inner virtual clock
+/// that each allocation advances to its start; the outer simulation is
+/// charged what the step advanced it, so queue waits and compute
+/// interleave correctly on one timeline.
 BatchCampaignReport run_campaign_through_batch(sim::Simulation& sim,
                                                sim::BatchSystem& batch,
                                                const std::vector<sim::TaskSpec>& tasks,

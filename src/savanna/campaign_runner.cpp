@@ -321,6 +321,20 @@ CampaignDriver::Step CampaignDriver::step() {
   return out;
 }
 
+bool CampaignDriver::step_into(CampaignRunResult& result) {
+  Step step = this->step();
+  ++result.allocations_used;
+  result.completed_runs += step.report.completed.size();
+  result.total_node_seconds += step.report.allocation_node_seconds;
+  result.total_busy_node_seconds += step.report.busy_node_seconds;
+  result.exhausted.insert(result.exhausted.end(), step.exhausted.begin(),
+                          step.exhausted.end());
+  result.reports.push_back(std::move(step.report));
+  return !step.stalled && remaining() > 0 &&
+         (options_.max_allocations == 0 ||
+          result.allocations_used < options_.max_allocations);
+}
+
 CampaignRunResult run_with_resubmission(sim::Simulation& sim,
                                         const std::vector<sim::TaskSpec>& tasks,
                                         const CampaignRunOptions& options,
@@ -328,19 +342,8 @@ CampaignRunResult run_with_resubmission(sim::Simulation& sim,
                                         CampaignJournal* journal) {
   CampaignRunResult result;
   CampaignDriver driver(sim, tasks, options, tracker, journal);
-  while (driver.remaining() > 0 &&
-         (options.max_allocations == 0 ||
-          result.allocations_used < options.max_allocations)) {
-    CampaignDriver::Step step = driver.step();
-    ++result.allocations_used;
-    result.completed_runs += step.report.completed.size();
-    result.total_node_seconds += step.report.allocation_node_seconds;
-    result.total_busy_node_seconds += step.report.busy_node_seconds;
-    result.exhausted.insert(result.exhausted.end(), step.exhausted.begin(),
-                            step.exhausted.end());
-    result.reports.push_back(std::move(step.report));
-    if (step.stalled) break;
-  }
+  bool more = driver.remaining() > 0;
+  while (more) more = driver.step_into(result);
   result.remaining_runs = driver.remaining();
   // Durably commit any group-commit tail before handing the journal back.
   if (journal) journal->flush();

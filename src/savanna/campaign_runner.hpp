@@ -101,8 +101,9 @@ void apply_report_to_tracker(RunTracker& tracker, const ExecutionReport& report,
 /// killed ones. The constructor reads the tracker once, so a resumed
 /// campaign skips what is done or exhausted and keeps its attempt counts
 /// and backoff. Each step() then runs one allocation and touches only the
-/// runs that allocation launches. run_with_resubmission is a loop over
-/// step(); fairflowd keeps one driver per campaign across its slices.
+/// runs that allocation launches. run_with_resubmission and
+/// run_campaign_through_batch are loops over step_into(); fairflowd keeps
+/// one driver per campaign across its slices.
 ///
 /// `sim`, `tasks`, `tracker` and `journal` must outlive the driver.
 class CampaignDriver {
@@ -133,6 +134,12 @@ class CampaignDriver {
   /// checkpoint/compaction its cadence owes), and drop the runs that
   /// finished. Throws StateError when nothing is pending.
   Step step();
+
+  /// step(), with its totals added to `result`. Returns whether the
+  /// campaign takes another allocation: runs remain, this one did not
+  /// stall, and `max_allocations` (0 = no cap, counted in `result`) allows
+  /// one more.
+  bool step_into(CampaignRunResult& result);
 
   /// Runs neither done nor exhausted.
   size_t remaining() const noexcept { return pending_.size(); }

@@ -83,10 +83,14 @@ ExecutionReport run_set_synchronized(sim::Simulation& sim,
       options.set_size > 0 ? std::min(options.set_size, options.nodes)
                            : options.nodes;
   const double t0 = sim.now();
+  const double deadline = t0 + options.walltime_s;
   Recorder recorder(options, t0, "set");
   double set_start = t0;
-  // A set launches only while the allocation has walltime left.
-  while (set_start - t0 < options.walltime_s) {
+  // A set launches only while the allocation has walltime left. Compared on
+  // the absolute clock, as record() clips: after a set ends at the deadline,
+  // (t0 + walltime) - t0 may round below the walltime and launch a set
+  // whose runs are killed the instant they start.
+  while (set_start < deadline) {
     double barrier = set_start;
     int node = 0;
     for (; node < set_size; ++node) {
@@ -103,7 +107,7 @@ ExecutionReport run_set_synchronized(sim::Simulation& sim,
       } else {
         recorder.report.completed.push_back(task->id);
       }
-      barrier = std::max(barrier, std::min(end, t0 + options.walltime_s));
+      barrier = std::max(barrier, std::min(end, deadline));
     }
     if (node == 0) break;  // the source ran dry
     // The explicit end-of-set synchronization: the whole set waits for its
@@ -134,7 +138,8 @@ ExecutionReport run_pilot(sim::Simulation& sim, const TaskSource& next_task,
   // Event-driven greedy list scheduling: every node pulls the next pending
   // task the moment it frees.
   std::function<void(int)> assign = [&](int node) {
-    if (sim.now() - t0 >= options.walltime_s) return;  // cannot launch anymore
+    // Cannot launch anymore (on the absolute clock, as the set runner).
+    if (sim.now() >= t0 + options.walltime_s) return;
     const sim::TaskSpec* task = next_task();
     if (!task) return;
     const double start = sim.now();

@@ -329,7 +329,16 @@ void CampaignJournal::set_group_commit(size_t records) {
 void CampaignJournal::flush() {
   if (buffered_.empty()) return;
   if (fd_ < 0) throw StateError("journal is not open for append");
-  durable_append(fd_, buffered_, path_, WriteKind::Append, write_index_);
+  try {
+    durable_append(fd_, buffered_, path_, WriteKind::Append, write_index_);
+  } catch (...) {
+    // A failed write loses its batch, as a failed unbatched append loses
+    // its record: writing it again on close could put a second copy behind
+    // a partial first one. Resume re-executes what was lost.
+    buffered_.clear();
+    buffered_records_ = 0;
+    throw;
+  }
   ++write_index_;
   buffered_.clear();
   buffered_records_ = 0;

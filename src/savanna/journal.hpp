@@ -91,6 +91,8 @@ const JournalRecordInfo* find_journal_record(std::string_view kind);
 ///   With group commit (set_group_commit > 1) the commit point moves to
 ///   the batch flush: one write + fsync covers the whole batch, and a
 ///   crash loses at most the unflushed batch — which is then re-executed.
+///   A flush that throws loses its batch the same way; it is never
+///   written again.
 /// * A crash mid-append leaves at most one torn (partial) final line.
 ///   replay() detects and drops it; open() truncates it away via an
 ///   atomic rewrite before appending resumes.
@@ -188,7 +190,7 @@ class CampaignJournal {
   /// Batch size for group commit: 1 (default) fsyncs every record;
   /// n > 1 buffers up to n records and commits them with one write+fsync.
   void set_group_commit(size_t records);
-  /// Durably commit any buffered records now.
+  /// Durably commit any buffered records now. A throw loses the batch.
   void flush();
 
   bool is_open() const noexcept { return fd_ >= 0; }

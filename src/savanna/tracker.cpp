@@ -1,6 +1,6 @@
 #include "savanna/tracker.hpp"
 
-#include <algorithm>
+#include <iterator>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -8,6 +8,40 @@
 namespace ff::savanna {
 
 namespace {
+
+/// The one name table, indexed by RunTracker::State: the state's name, the
+/// kind of the event that enters it, and the Counts bucket it is counted in.
+struct StateNames {
+  const char* name;
+  const char* event;                   // nullptr: no event enters it
+  size_t RunTracker::Counts::*bucket;  // nullptr: counted in total only
+};
+constexpr StateNames kStates[] = {
+    {"pending", nullptr, &RunTracker::Counts::never_started},
+    {"running", "start", nullptr},
+    {"done", "done", &RunTracker::Counts::done},
+    {"failed", "failed", &RunTracker::Counts::failed},
+    {"killed", "killed", &RunTracker::Counts::killed},
+    {"exhausted", "exhausted", &RunTracker::Counts::exhausted},
+};
+
+/// The row of `state`, a RunTracker::State (private to the class).
+template <typename State>
+const StateNames& names(State state) {
+  return kStates[static_cast<size_t>(state)];
+}
+
+/// The row whose `column` reads `name`. A name outside the vocabulary is a
+/// ValidationError naming the run it came with.
+size_t find_row(const std::string& run_id, const std::string& name,
+                const char* StateNames::*column, const char* what) {
+  for (size_t row = 0; row < std::size(kStates); ++row) {
+    const char* candidate = kStates[row].*column;
+    if (candidate && name == candidate) return row;
+  }
+  throw ValidationError("RunTracker: run '" + run_id + "' has unknown " + what +
+                        " '" + name + "'");
+}
 
 /// The tracker is the ComponentRecords tier made concrete, so its state
 /// transitions are themselves trace events: one savanna.run.state per
@@ -24,137 +58,88 @@ void trace_state(const std::string& run_id, const char* state, double time,
 
 }  // namespace
 
-RunTracker::RunTracker(size_t shard_count)
-    : shards_(shard_count == 0 ? 1 : shard_count) {}
-
-size_t RunTracker::shard_of(const std::string& run_id) const noexcept {
-  return std::hash<std::string>{}(run_id) % shards_.size();
-}
-
 void RunTracker::add_run(const std::string& run_id) {
-  Shard& shard = shards_[shard_of(run_id)];
-  if (!shard.runs.emplace(run_id, RunRecord{}).second) {
+  if (!runs_.emplace(run_id, RunRecord{}).second) {
     throw ValidationError("RunTracker: duplicate run '" + run_id + "'");
   }
-  ++shard.live;
-  ++live_;
   ++counts_.total;
   ++counts_.never_started;
 }
 
 bool RunTracker::has_run(const std::string& run_id) const noexcept {
-  return shards_[shard_of(run_id)].runs.count(run_id) > 0;
+  return runs_.count(run_id) > 0;
 }
 
 RunTracker::RunRecord& RunTracker::require(const std::string& run_id) {
-  Shard& shard = shards_[shard_of(run_id)];
-  auto it = shard.runs.find(run_id);
-  if (it == shard.runs.end()) {
+  auto it = runs_.find(run_id);
+  if (it == runs_.end()) {
     throw NotFoundError("RunTracker: unknown run '" + run_id + "'");
   }
   return it->second;
 }
 
 const RunTracker::RunRecord& RunTracker::require(const std::string& run_id) const {
-  const Shard& shard = shards_[shard_of(run_id)];
-  auto it = shard.runs.find(run_id);
-  if (it == shard.runs.end()) {
+  auto it = runs_.find(run_id);
+  if (it == runs_.end()) {
     throw NotFoundError("RunTracker: unknown run '" + run_id + "'");
   }
   return it->second;
 }
 
-void RunTracker::on_terminal(const std::string& run_id) {
-  --shards_[shard_of(run_id)].live;
-  --live_;
+void RunTracker::enter(const std::string& run_id, RunRecord& run, State to,
+                       double time, int node, std::string detail) {
+  if (auto from = names(run.state).bucket) --(counts_.*from);
+  if (auto into = names(to).bucket) ++(counts_.*into);
+  run.state = to;
+  run.events.push_back(EventRecord{time, std::move(detail), node, to});
+  trace_state(run_id, names(to).event, time, node, run.attempts - 1);
 }
 
 void RunTracker::mark_started(const std::string& run_id, double time, int node) {
   RunRecord& run = require(run_id);
-  if (run.last_state == "running") {
+  if (run.state == State::Running) {
     throw StateError("RunTracker: run '" + run_id + "' already running");
   }
-  // Counter bookkeeping: the run leaves whichever non-running bucket it was in.
-  if (run.last_state == "pending") --counts_.never_started;
-  else if (run.last_state == "failed") --counts_.failed;
-  else if (run.last_state == "killed") --counts_.killed;
-  else if (run.last_state == "done") --counts_.done;
-  else if (run.last_state == "exhausted") --counts_.exhausted;
-  if (run.last_state == "done" || run.last_state == "exhausted") {
-    // Restarting a terminal run (legal, if unusual) makes it live again.
-    ++shards_[shard_of(run_id)].live;
-    ++live_;
-  }
-  run.events.push_back(EventRecord{"start", time, node, ""});
-  run.last_state = "running";
+  // Restarting a terminal run is legal, if unusual.
   ++run.attempts;
   ++total_attempts_;
-  trace_state(run_id, "start", time, node, run.attempts - 1);
+  enter(run_id, run, State::Running, time, node, "");
 }
 
 void RunTracker::mark_done(const std::string& run_id, double time) {
   RunRecord& run = require(run_id);
-  if (run.last_state != "running") {
+  if (run.state != State::Running) {
     throw StateError("RunTracker: run '" + run_id + "' is not running");
   }
-  run.events.push_back(EventRecord{"done", time, -1, ""});
-  run.last_state = "done";
-  ++counts_.done;
-  on_terminal(run_id);
-  trace_state(run_id, "done", time, -1, run.attempts - 1);
+  enter(run_id, run, State::Done, time, -1, "");
 }
 
 void RunTracker::mark_failed(const std::string& run_id, double time,
                              const std::string& reason) {
   RunRecord& run = require(run_id);
-  if (run.last_state != "running") {
+  if (run.state != State::Running) {
     throw StateError("RunTracker: run '" + run_id + "' is not running");
   }
-  run.events.push_back(EventRecord{"failed", time, -1, reason});
-  run.last_state = "failed";
-  ++counts_.failed;
-  trace_state(run_id, "failed", time, -1, run.attempts - 1);
+  enter(run_id, run, State::Failed, time, -1, reason);
 }
 
 void RunTracker::mark_killed(const std::string& run_id, double time) {
   RunRecord& run = require(run_id);
-  if (run.last_state != "running") {
+  if (run.state != State::Running) {
     throw StateError("RunTracker: run '" + run_id + "' is not running");
   }
-  run.events.push_back(EventRecord{"killed", time, -1, "walltime"});
-  run.last_state = "killed";
-  ++counts_.killed;
-  trace_state(run_id, "killed", time, -1, run.attempts - 1);
+  enter(run_id, run, State::Killed, time, -1, "walltime");
 }
 
 void RunTracker::mark_exhausted(const std::string& run_id, double time,
                                 const std::string& reason) {
   RunRecord& run = require(run_id);
-  if (run.last_state != "failed" && run.last_state != "killed") {
+  if (run.state != State::Failed && run.state != State::Killed) {
     throw StateError("RunTracker: run '" + run_id +
-                     "' cannot be exhausted from state '" + run.last_state + "'");
+                     "' cannot be exhausted from state '" +
+                     names(run.state).name + "'");
   }
-  if (run.last_state == "failed") --counts_.failed;
-  else --counts_.killed;
-  run.events.push_back(EventRecord{"exhausted", time, -1, reason});
-  run.last_state = "exhausted";
-  ++counts_.exhausted;
-  on_terminal(run_id);
-  trace_state(run_id, "exhausted", time, -1, run.attempts - 1);
-}
-
-std::vector<std::string> RunTracker::needing_rerun() const {
-  std::vector<std::string> out;
-  for (const Shard& shard : shards_) {
-    if (shard.live == 0) continue;  // every run here is done/exhausted
-    for (const auto& [run_id, run] : shard.runs) {
-      if (run.last_state != "done" && run.last_state != "exhausted") {
-        out.push_back(run_id);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  enter(run_id, run, State::Exhausted, time, -1, reason);
 }
 
 size_t RunTracker::attempts(const std::string& run_id) const {
@@ -164,7 +149,7 @@ size_t RunTracker::attempts(const std::string& run_id) const {
 RunTracker::RunStatus RunTracker::status(const std::string& run_id) const {
   const RunRecord& run = require(run_id);
   RunStatus status;
-  status.state = run.last_state;
+  status.state = names(run.state).name;
   status.attempts = run.attempts;
   status.last_time = run.events.empty() ? 0 : run.events.back().time;
   return status;
@@ -172,12 +157,12 @@ RunTracker::RunStatus RunTracker::status(const std::string& run_id) const {
 
 Json RunTracker::record_to_json(const RunRecord& run) {
   Json record = Json::object();
-  record["state"] = run.last_state;
+  record["state"] = names(run.state).name;
   record["attempts"] = static_cast<int64_t>(run.attempts);
   Json events = Json::array();
   for (const EventRecord& event : run.events) {
     Json entry = Json::object();
-    entry["kind"] = event.kind;
+    entry["kind"] = names(event.kind).event;
     entry["time"] = event.time;
     if (event.node >= 0) entry["node"] = static_cast<int64_t>(event.node);
     if (!event.detail.empty()) entry["detail"] = event.detail;
@@ -189,22 +174,16 @@ Json RunTracker::record_to_json(const RunRecord& run) {
 
 Json RunTracker::to_json() const {
   // Json objects are sorted maps, so insertion order does not matter: the
-  // export is deterministic (and byte-identical to the pre-sharding layout).
+  // export is sorted by run id whatever the hash order.
   Json out = Json::object();
-  for (const Shard& shard : shards_) {
-    for (const auto& [run_id, run] : shard.runs) {
-      out[run_id] = record_to_json(run);
-    }
-  }
+  for (const auto& [run_id, run] : runs_) out[run_id] = record_to_json(run);
   return out;
 }
 
 Json RunTracker::to_json_started() const {
   Json out = Json::object();
-  for (const Shard& shard : shards_) {
-    for (const auto& [run_id, run] : shard.runs) {
-      if (!run.events.empty()) out[run_id] = record_to_json(run);
-    }
+  for (const auto& [run_id, run] : runs_) {
+    if (!run.events.empty()) out[run_id] = record_to_json(run);
   }
   return out;
 }
@@ -212,35 +191,26 @@ Json RunTracker::to_json_started() const {
 void RunTracker::restore(const Json& records) {
   for (const auto& [run_id, record] : records.as_object()) {
     RunRecord run;
-    run.last_state = record["state"].as_string();
+    run.state = static_cast<State>(
+        find_row(run_id, record["state"].as_string(), &StateNames::name, "state"));
     run.attempts = static_cast<size_t>(record.get_or("attempts", int64_t{0}));
     for (const Json& entry : record["events"].as_array()) {
       EventRecord event;
-      event.kind = entry["kind"].as_string();
+      event.kind = static_cast<State>(find_row(
+          run_id, entry["kind"].as_string(), &StateNames::event, "event kind"));
       event.time = entry["time"].as_double();
       event.node = static_cast<int>(entry.get_or("node", int64_t{-1}));
       event.detail = entry.get_or("detail", "");
       run.events.push_back(std::move(event));
     }
-    Shard& shard = shards_[shard_of(run_id)];
-    const std::string state = run.last_state;
+    const State state = run.state;
     const size_t attempts = run.attempts;
-    if (!shard.runs.emplace(run_id, std::move(run)).second) {
+    if (!runs_.emplace(run_id, std::move(run)).second) {
       throw ValidationError("RunTracker: duplicate run '" + run_id + "'");
     }
     ++counts_.total;
+    if (auto bucket = names(state).bucket) ++(counts_.*bucket);
     total_attempts_ += attempts;
-    if (state == "done") ++counts_.done;
-    else if (state == "failed") ++counts_.failed;
-    else if (state == "killed") ++counts_.killed;
-    else if (state == "exhausted") ++counts_.exhausted;
-    else if (state == "pending") ++counts_.never_started;
-    if (state == "done" || state == "exhausted") {
-      // terminal on arrival: never counted live
-    } else {
-      ++shard.live;
-      ++live_;
-    }
   }
 }
 

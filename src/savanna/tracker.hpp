@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,19 +14,14 @@ namespace ff::savanna {
 /// Provenance gauge made concrete — and what frees researchers from
 /// "manually curating a list of failed runs" (paper Section II-B).
 ///
-/// State is sharded into a fixed array of hash buckets so the hot
-/// operations stay flat as campaigns grow to 10^6 runs: a status update is
-/// one hash-map touch, counts() reads incrementally maintained aggregates
-/// in O(1), and the terminal-state sweep behind needing_rerun() skips every
-/// shard whose live-run counter has reached zero instead of scanning all
-/// history. Exported provenance (to_json) is sorted by run id, so it stays
-/// byte-identical to the old ordered-map implementation.
+/// One hash map from run id to record, so a status update is one hash and
+/// one lookup. States and event kinds are a closed, typed vocabulary; their
+/// names appear only where bytes leave the tracker (status(), the exports
+/// and the savanna.run.state trace event), and restore() rejects a name
+/// outside it. counts() reads aggregates the transitions keep up to date.
+/// Exported provenance (to_json) is sorted by run id.
 class RunTracker {
  public:
-  static constexpr size_t kDefaultShardCount = 64;
-
-  explicit RunTracker(size_t shard_count = kDefaultShardCount);
-
   /// Register a run (attempt counter starts at 0).
   void add_run(const std::string& run_id);
   bool has_run(const std::string& run_id) const noexcept;
@@ -38,14 +34,6 @@ class RunTracker {
   /// `failed` or `killed`; an exhausted run is never re-submitted.
   void mark_exhausted(const std::string& run_id, double time,
                       const std::string& reason);
-
-  /// Runs whose latest attempt did not finish (never started, failed, or
-  /// killed) — exactly the set a re-submission must execute. Excludes
-  /// `done` and the terminal `exhausted` state. Sorted by run id.
-  std::vector<std::string> needing_rerun() const;
-
-  /// Runs not yet in a terminal state (`done`/`exhausted`) — O(1).
-  size_t live_runs() const noexcept { return live_; }
 
   size_t attempts(const std::string& run_id) const;
   /// Sum of attempts() over every run — O(1), kept by mark_started and
@@ -61,6 +49,7 @@ class RunTracker {
   };
   RunStatus status(const std::string& run_id) const;
 
+  /// Runs per state; a running run is counted in `total` only.
   struct Counts {
     size_t total = 0;
     size_t done = 0;
@@ -81,38 +70,37 @@ class RunTracker {
   /// the started population, not the sweep size.
   Json to_json_started() const;
   /// Load records (the to_json/to_json_started shape) into this tracker.
-  /// Throws ValidationError on a run id already present.
+  /// Throws ValidationError, naming the run, on a run id already present
+  /// or on a state or event kind outside the vocabulary.
   void restore(const Json& records);
   static RunTracker from_json(const Json& json);
 
  private:
+  /// A run's lifecycle position. An event records the state it entered, so
+  /// the same values are the event kinds (Running is entered by "start").
+  /// tracker.cpp holds the one name table, indexed by these values.
+  enum class State : uint8_t { Pending, Running, Done, Failed, Killed, Exhausted };
   struct EventRecord {
-    std::string kind;  // "start", "done", "failed", "killed", "exhausted"
     double time = 0;
-    int node = -1;
     std::string detail;
+    int node = -1;
+    State kind = State::Running;
   };
   struct RunRecord {
     std::vector<EventRecord> events;
-    // pending|running|done|failed|killed|exhausted
-    std::string last_state = "pending";
     size_t attempts = 0;
-  };
-  struct Shard {
-    std::unordered_map<std::string, RunRecord> runs;
-    size_t live = 0;  // runs in this shard not yet done/exhausted
+    State state = State::Pending;
   };
 
-  size_t shard_of(const std::string& run_id) const noexcept;
   RunRecord& require(const std::string& run_id);
   const RunRecord& require(const std::string& run_id) const;
-  /// Counter bookkeeping shared by the terminal transitions.
-  void on_terminal(const std::string& run_id);
+  /// The one transition: move the counts, record the event, trace it.
+  void enter(const std::string& run_id, RunRecord& run, State to, double time,
+             int node, std::string detail);
   static Json record_to_json(const RunRecord& run);
 
-  std::vector<Shard> shards_;
+  std::unordered_map<std::string, RunRecord> runs_;
   Counts counts_;
-  size_t live_ = 0;
   size_t total_attempts_ = 0;
 };
 

@@ -224,8 +224,15 @@ struct ServiceCore::CampaignState {
   // Counts as of the moment the current slice was granted. While in_flight,
   // the slice thread owns sim/tracker/journal off-lock (a recovering slice
   // even replaces the tracker), so status/list must read this snapshot
-  // instead of touching the live tracker.
+  // instead of touching the live tracker. Without a driver, the tracker is
+  // empty or, after a failed slice, holds what the journal lost: the
+  // snapshot then keeps the failed slice's grant until a recovering slice
+  // rebuilds the tracker. Every slice ends with a flush, and a failed one
+  // drops its unwritten records, so unless the slice failed after its
+  // allocation was committed (in a checkpoint, say) the journal holds
+  // exactly those counts.
   savanna::RunTracker::Counts counts_snapshot;
+  bool tracker_current() const { return !in_flight && driver.has_value(); }
 
   CampaignInfo to_info() const {
     CampaignInfo info;
@@ -235,7 +242,7 @@ struct ServiceCore::CampaignState {
     info.owner = owner;
     info.run_count = tasks.size();
     info.allocations = allocations;
-    info.counts = in_flight ? counts_snapshot : tracker->counts();
+    info.counts = tracker_current() ? tracker->counts() : counts_snapshot;
     info.error = error;
     return info;
   }
@@ -461,7 +468,9 @@ void ServiceCore::pump_locked() {
     round_robin_.pop_front();
     auto it = campaigns_.find(name);
     if (it == campaigns_.end() || it->second->in_flight) continue;
-    it->second->counts_snapshot = it->second->tracker->counts();
+    if (it->second->tracker_current()) {
+      it->second->counts_snapshot = it->second->tracker->counts();
+    }
     it->second->in_flight = true;
     ++slices_in_flight_;
     pool_.post([this, name] { run_slice(name); });

@@ -84,12 +84,6 @@ void DataScheduler::subscribe(Consumer consumer) {
   consumers_ = std::move(next);
 }
 
-void DataScheduler::set_queue_sink(const std::string& queue, Sink sink) {
-  const auto entry = require(queue);
-  std::lock_guard lock(entry->mutex);
-  entry->sink = std::move(sink);
-}
-
 void DataScheduler::deliver_locked(const std::string& queue,
                                    VirtualQueue& entry,
                                    std::vector<Record> released) {

@@ -24,10 +24,10 @@ class StreamPipeline;
 ///   runtime, including policies "unknown at code-generation time"
 ///   (registered in the PolicyFactory below).
 /// - Consumers subscribe per queue; releases are delivered synchronously on
-///   the publishing thread unless a queue has a sink (see set_queue_sink),
-///   in which case its releases flow into the sink — how StreamPipeline
-///   (stream/pipeline.hpp) reroutes them into bounded channels drained by
-///   worker threads.
+///   the publishing thread unless the queue was installed with a sink, in
+///   which case its releases flow into the sink — how StreamPipeline
+///   (stream/pipeline.hpp), which passes one to install_queue, reroutes
+///   them into bounded channels drained by worker threads.
 ///
 /// Thread safety: every method may be called concurrently from any thread.
 /// The queue registry is guarded by one mutex; each virtual queue has its
@@ -63,10 +63,6 @@ class DataScheduler {
 
   void subscribe(Consumer consumer);
 
-  /// Route one queue's releases into `sink` instead of the subscriber
-  /// list (pass nullptr to restore synchronous delivery).
-  void set_queue_sink(const std::string& queue, Sink sink);
-
   /// Feed one record from the instrument into all active queues.
   void publish(const Record& record);
 
@@ -90,11 +86,11 @@ class DataScheduler {
 
  private:
   struct VirtualQueue {
-    mutable std::mutex mutex;  // serializes policy, stats, active, sink
+    mutable std::mutex mutex;  // serializes policy, stats, active
     std::unique_ptr<SelectionPolicy> policy;
     bool active = true;
     QueueStats stats;
-    Sink sink;
+    Sink sink;  // fixed at install
   };
   using QueueRef = std::pair<std::string, std::shared_ptr<VirtualQueue>>;
 

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace ff::savanna {
 namespace {
+
+/// Runs not yet done or exhausted: the ones a re-submission still owes.
+size_t live(const RunTracker& tracker) {
+  const RunTracker::Counts counts = tracker.counts();
+  return counts.total - counts.done - counts.exhausted;
+}
 
 TEST(RunTracker, LifecycleHappyPath) {
   RunTracker tracker;
@@ -16,7 +23,7 @@ TEST(RunTracker, LifecycleHappyPath) {
   tracker.mark_started("r1", 0.0, 3);
   tracker.mark_done("r1", 10.0);
   EXPECT_EQ(tracker.attempts("r1"), 1u);
-  EXPECT_TRUE(tracker.needing_rerun().empty());
+  EXPECT_EQ(tracker.status("r1").state, "done");
   const auto counts = tracker.counts();
   EXPECT_EQ(counts.total, 1u);
   EXPECT_EQ(counts.done, 1u);
@@ -49,18 +56,20 @@ TEST(RunTracker, RetryAfterFailureCountsAttempts) {
   tracker.add_run("r1");
   tracker.mark_started("r1", 0.0, 0);
   tracker.mark_failed("r1", 5.0, "node crash");
-  EXPECT_EQ(tracker.needing_rerun(), std::vector<std::string>{"r1"});
+  EXPECT_EQ(tracker.status("r1").state, "failed");
+  EXPECT_EQ(tracker.counts().failed, 1u);
   tracker.mark_started("r1", 10.0, 1);  // re-submission
   tracker.mark_done("r1", 20.0);
   EXPECT_EQ(tracker.attempts("r1"), 2u);
-  EXPECT_TRUE(tracker.needing_rerun().empty());
+  EXPECT_EQ(tracker.counts().failed, 0u);
+  EXPECT_EQ(live(tracker), 0u);
 }
 
 TEST(RunTracker, NeedingRerunCoversAllIncompleteStates) {
   RunTracker tracker;
-  for (const std::string id : {"pending", "failed", "killed", "done", "running"}) {
-    tracker.add_run(id);
-  }
+  const std::vector<std::string> ids = {"pending", "failed", "killed", "done",
+                                        "running"};
+  for (const std::string& id : ids) tracker.add_run(id);
   tracker.mark_started("failed", 0, 0);
   tracker.mark_failed("failed", 1, "x");
   tracker.mark_started("killed", 0, 1);
@@ -68,8 +77,11 @@ TEST(RunTracker, NeedingRerunCoversAllIncompleteStates) {
   tracker.mark_started("done", 0, 2);
   tracker.mark_done("done", 1);
   tracker.mark_started("running", 0, 3);
-  const auto rerun = tracker.needing_rerun();
-  EXPECT_EQ(rerun.size(), 4u);  // everything but "done"
+  for (const std::string& id : ids) {
+    // Each run reports the state it is named after.
+    EXPECT_EQ(tracker.status(id).state, id);
+  }
+  EXPECT_EQ(live(tracker), 4u);  // everything but "done"
   const auto counts = tracker.counts();
   EXPECT_EQ(counts.never_started, 1u);
   EXPECT_EQ(counts.failed, 1u);
@@ -93,48 +105,25 @@ TEST(RunTracker, JsonRoundTripPreservesProvenance) {
 
   const RunTracker reparsed = RunTracker::from_json(json);
   EXPECT_EQ(reparsed.attempts("r1"), 2u);
-  EXPECT_TRUE(reparsed.needing_rerun().empty());
+  EXPECT_EQ(reparsed.status("r1").state, "done");
   EXPECT_EQ(reparsed.to_json(), json);
-}
-
-TEST(RunTracker, ShardCountIsInvisibleInExports) {
-  auto drive = [](RunTracker& tracker) {
-    for (int i = 0; i < 200; ++i) {
-      const std::string id = "run-" + std::to_string(i);
-      tracker.add_run(id);
-      if (i % 3 == 0) {
-        tracker.mark_started(id, i, i % 7);
-        tracker.mark_done(id, i + 1);
-      } else if (i % 3 == 1) {
-        tracker.mark_started(id, i, i % 7);
-        tracker.mark_failed(id, i + 1, "flake");
-      }
-    }
-  };
-  RunTracker sharded;  // kDefaultShardCount
-  RunTracker single(1);
-  drive(sharded);
-  drive(single);
-  EXPECT_EQ(sharded.to_json().dump(), single.to_json().dump());
-  EXPECT_EQ(sharded.needing_rerun(), single.needing_rerun());
-  EXPECT_EQ(sharded.live_runs(), single.live_runs());
 }
 
 TEST(RunTracker, LiveRunsTracksTerminalTransitions) {
   RunTracker tracker;
   tracker.add_run("a");
   tracker.add_run("b");
-  EXPECT_EQ(tracker.live_runs(), 2u);
+  EXPECT_EQ(live(tracker), 2u);
   tracker.mark_started("a", 0, 0);
-  EXPECT_EQ(tracker.live_runs(), 2u);  // running is still live
+  EXPECT_EQ(live(tracker), 2u);  // running is still live
   tracker.mark_done("a", 1);
-  EXPECT_EQ(tracker.live_runs(), 1u);
+  EXPECT_EQ(live(tracker), 1u);
   tracker.mark_started("b", 0, 1);
   tracker.mark_failed("b", 1, "oom");
-  EXPECT_EQ(tracker.live_runs(), 1u);  // failed runs await a retry decision
+  EXPECT_EQ(live(tracker), 1u);  // failed runs await a retry decision
   tracker.mark_exhausted("b", 2, "retry budget spent");
-  EXPECT_EQ(tracker.live_runs(), 0u);
-  EXPECT_TRUE(tracker.needing_rerun().empty());
+  EXPECT_EQ(live(tracker), 0u);
+  EXPECT_EQ(tracker.status("b").state, "exhausted");
   EXPECT_EQ(tracker.counts().exhausted, 1u);
 }
 
@@ -177,8 +166,10 @@ TEST(RunTracker, RestoreRebuildsCountersFromSnapshot) {
 
   RunTracker restored;
   restored.restore(original.to_json_started());
-  EXPECT_EQ(restored.live_runs(), original.live_runs());
-  EXPECT_EQ(restored.needing_rerun(), original.needing_rerun());
+  EXPECT_EQ(live(restored), live(original));
+  for (const std::string id : {"done", "failed", "running", "exhausted"}) {
+    EXPECT_EQ(restored.status(id).state, original.status(id).state);
+  }
   const auto counts = restored.counts();
   EXPECT_EQ(counts.total, 4u);
   EXPECT_EQ(counts.done, 1u);
@@ -243,11 +234,51 @@ TEST(RunTracker, ManyRunsKeepAggregatesConsistent) {
   EXPECT_EQ(counts.total, n);
   EXPECT_EQ(counts.done, n / 2);
   EXPECT_EQ(counts.never_started, n / 2);
-  EXPECT_EQ(tracker.live_runs(), n / 2);
-  EXPECT_EQ(tracker.needing_rerun().size(), n / 2);
-  // needing_rerun is sorted by id regardless of shard layout.
-  const auto rerun = tracker.needing_rerun();
-  EXPECT_TRUE(std::is_sorted(rerun.begin(), rerun.end()));
+  EXPECT_EQ(live(tracker), n / 2);
+  size_t pending = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (tracker.status("r" + std::to_string(i)).state == "pending") ++pending;
+  }
+  EXPECT_EQ(pending, n / 2);
+  // The export is sorted by run id whatever the hash order.
+  const Json exported = tracker.to_json();
+  EXPECT_EQ(exported.size(), n);
+  EXPECT_EQ(exported.as_object().begin()->first, "r0");
+}
+
+// States and event kinds are a closed vocabulary: a record naming anything
+// else is rejected, naming the run, before it can skew the counts.
+TEST(RunTracker, RestoreRejectsNamesOutsideTheVocabulary) {
+  RunTracker source;
+  source.add_run("r1");
+  source.mark_started("r1", 1.0, 0);
+  source.mark_failed("r1", 2.0, "oom");
+  const Json good = source.to_json_started();
+  ASSERT_EQ(good["r1"]["state"].as_string(), "failed");
+
+  Json misspelled_state = good;
+  misspelled_state["r1"]["state"] = "runing";
+  Json unknown_kind = good;
+  unknown_kind["r1"]["events"][size_t{0}]["kind"] = "begin";
+  for (const Json& bad : {misspelled_state, unknown_kind}) {
+    RunTracker tracker;
+    try {
+      tracker.restore(bad);
+      ADD_FAILURE() << "restored " << bad.dump();
+    } catch (const ValidationError& error) {
+      EXPECT_NE(std::string(error.what()).find("'r1'"), std::string::npos)
+          << error.what();
+    }
+    const auto counts = tracker.counts();
+    EXPECT_EQ(counts.total, counts.done + counts.failed + counts.killed +
+                                counts.exhausted + counts.never_started);
+    EXPECT_FALSE(tracker.has_run("r1"));
+  }
+
+  RunTracker restored;
+  restored.restore(good);
+  EXPECT_EQ(restored.to_json().dump(), source.to_json().dump());
+  EXPECT_EQ(restored.counts().failed, 1u);
 }
 
 }  // namespace

@@ -233,9 +233,31 @@ class FailNthAppend {
   size_t appends_ = 0;  // touched only by the one slice thread
 };
 
+/// The counts of a tracker rebuilt from the campaign journal in
+/// `directory`. The journal is copied first, so the campaign's own stays
+/// untouched.
+savanna::RunTracker::Counts journal_counts(const std::string& directory,
+                                           const Json& manifest,
+                                           const std::string& scratch_path) {
+  write_file(scratch_path, read_file(directory + "/.campaign/journal.jsonl"));
+  const cheetah::Campaign campaign = cheetah::Campaign::from_json(manifest);
+  std::vector<sim::TaskSpec> tasks;
+  campaign.groups().front().for_each_run([&](const cheetah::RunSpec& run) {
+    sim::TaskSpec task;
+    task.id = run.id;
+    tasks.push_back(std::move(task));
+  });
+  sim::Simulation sim;
+  savanna::RunTracker tracker;
+  savanna::recover_campaign(sim, tasks, savanna::CampaignRunOptions(), tracker,
+                            scratch_path, campaign.name());
+  return tracker.counts();
+}
+
 // A slice that throws after its allocation reached the tracker but not the
-// journal must not leave that allocation in memory: resume continues from
-// what the journal holds, and the finished campaign equals batch.
+// journal must not leave that allocation in memory: status reports what the
+// journal holds, resume continues from there, and the finished campaign
+// equals batch.
 TEST(ServiceCore, FailedSliceResumesFromItsJournal) {
   for (const size_t group_commit : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("group_commit " + std::to_string(group_commit));
@@ -254,8 +276,17 @@ TEST(ServiceCore, FailedSliceResumesFromItsJournal) {
       core.submit(config, "s1");
       core.drain();
     }
-    ASSERT_EQ(core.info("flaky").state, "failed");
-    EXPECT_NE(core.info("flaky").error.find("injected"), std::string::npos);
+    const CampaignInfo failed = core.info("flaky");
+    ASSERT_EQ(failed.state, "failed");
+    EXPECT_NE(failed.error.find("injected"), std::string::npos);
+    const savanna::RunTracker::Counts journal =
+        journal_counts(failed.directory, manifest, dir.file("copy.jsonl"));
+    EXPECT_EQ(failed.counts.total, journal.total);
+    EXPECT_EQ(failed.counts.done, journal.done);
+    EXPECT_EQ(failed.counts.failed, journal.failed);
+    EXPECT_EQ(failed.counts.killed, journal.killed);
+    EXPECT_EQ(failed.counts.exhausted, journal.exhausted);
+    EXPECT_EQ(failed.counts.never_started, journal.never_started);
 
     core.resume("flaky");
     core.drain();
