@@ -20,6 +20,8 @@ ff_add_bench(tab1_gauge_assessment ff_core ff_gwas)
 ff_add_bench(ablation_ckpt_restart ff_ckpt ff_cluster)
 ff_add_bench(ablation_codesign ff_cheetah ff_gwas)
 ff_add_bench(campaign_scale ff_savanna ff_cheetah)
+target_compile_definitions(campaign_scale PRIVATE
+  FF_REPO_ROOT="${CMAKE_SOURCE_DIR}" FF_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
 ff_add_bench(lint_scale ff_lint)
 ff_add_bench(service_throughput ff_service)
 ff_add_bench(micro_bench ff_util ff_skel ff_stream ff_cluster ff_irf ff_gwas
@@ -51,7 +53,7 @@ add_custom_target(bench_stream
 
 # `cmake --build build --target bench_campaign` reruns the campaign-spine
 # scale bench (lazy sweep submission, journal append modes, checkpointed
-# resume at 10^3/10^4/10^5 runs) and refreshes BENCH_campaign.json at the
+# resume and checkpoint write at 10^3/10^4/10^5 runs) and refreshes BENCH_campaign.json at the
 # repo root — the committed record of how far the spine scales.
 add_custom_target(bench_campaign
   COMMAND $<TARGET_FILE:campaign_scale>
@@ -82,8 +84,8 @@ set_tests_properties(perf_smoke PROPERTIES
   LABELS perf-smoke TIMEOUT 120 RUN_SERIAL TRUE)
 
 # Campaign-spine counterpart (best-of-3 at 10^4 runs): lazy submission,
-# group-commit journal append, and checkpointed resume must each clear a
-# floor ~10x below a plain build's measured rate — a guard against
+# group-commit journal append, checkpointed resume and checkpoint write
+# must each clear a floor ~10x below a plain build's measured rate — a guard against
 # accidentally quadratic paths in the million-run spine, not a latency SLO.
 add_test(NAME perf_smoke_campaign COMMAND campaign_scale --smoke)
 set_tests_properties(perf_smoke_campaign PROPERTIES

@@ -8,31 +8,39 @@
 //  3. resume:   resume_campaign() on a finished, checkpointed journal —
 //               the O(live runs) recovery path — on both the uncompacted
 //               and the compacted form of the same campaign.
+//  4. checkpoint: CampaignJournal::append_checkpoint (render, write, fsync)
+//               of a tracker whose every run started and finished at
+//               lognormal, non-integral times, as real durations are.
 //
-// Measured at 10^3 / 10^4 / 10^5 runs; writes the series to
-// BENCH_campaign.json (path = argv[1] or the default below) — the
-// committed record of campaign-spine performance.
+// Measured at 10^3 / 10^4 / 10^5 runs; writes the series, with the host,
+// compiler, build type and revision, to BENCH_campaign.json (path =
+// argv[1] or the default below) — the committed record of campaign-spine
+// performance.
 //
 // `--smoke`: a ~2 s regression guard (the ctest `perf-smoke` label),
-// best-of-3 at 10^4 runs: submit, group-commit journal append, and
-// checkpointed resume must each clear a floor set ~10x below the rates a
-// plain container build measures, so only an order-of-magnitude regression
-// (an accidentally quadratic path) trips it. Exits 1 on regression, writes
-// nothing.
+// best-of-3 at 10^4 runs: submit, group-commit journal append, checkpointed
+// resume and checkpoint write must each clear a floor set ~10x below the
+// rates a plain container build measures, so only an order-of-magnitude
+// regression (an accidentally quadratic path) trips it. Exits 1 on
+// regression, writes nothing.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cheetah/sweep.hpp"
+#include "cluster/workload.hpp"
 #include "savanna/campaign_runner.hpp"
 #include "savanna/journal.hpp"
 #include "savanna/tracker.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 using namespace ff;
 using Clock = std::chrono::steady_clock;
@@ -162,6 +170,43 @@ ResumeBench bench_resume(const std::string& dir,
   return out;
 }
 
+// --- 4. checkpoint write ----------------------------------------------------
+
+/// Every task started and done once, at lognormal, non-integral times.
+savanna::RunTracker finished_tracker(const std::vector<sim::TaskSpec>& tasks) {
+  savanna::RunTracker tracker;
+  const sim::DurationModel durations;
+  Rng rng(7);
+  double clock = 0;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    tracker.add_run(tasks[i].id);
+    clock += rng.uniform();
+    tracker.mark_started(tasks[i].id, clock, static_cast<int>(i % 256));
+    tracker.mark_done(tasks[i].id, clock + durations.sample(rng));
+  }
+  return tracker;
+}
+
+/// Started runs a checkpoint writes per second, best of `repeats`.
+double bench_checkpoint(const std::string& dir,
+                        const std::vector<sim::TaskSpec>& tasks, int repeats) {
+  const std::string path = dir + "/checkpoint.jsonl";
+  const savanna::RunTracker tracker = finished_tracker(tasks);
+  savanna::RunSetDigest digest;
+  digest.add("bench");
+  auto journal = savanna::CampaignJournal::create(
+      path, "bench", savanna::CampaignJournal::RunSetSummary{1, digest.hex()});
+  double best = 1e300;
+  for (int i = 0; i < repeats; ++i) {
+    const auto start = Clock::now();
+    journal.append_checkpoint(tracker, 1234.5 + i);
+    best = std::min(best, seconds_since(start));
+  }
+  journal.close();
+  std::remove(path.c_str());
+  return static_cast<double>(tasks.size()) / best;
+}
+
 // --- harness ----------------------------------------------------------------
 
 struct ScalePoint {
@@ -171,6 +216,7 @@ struct ScalePoint {
   double journal_group64 = 0; // group_commit = 64
   double resume = 0;
   double resume_compacted = 0;
+  double checkpoint = 0;      // started runs written per second
   size_t journal_bytes = 0;
   size_t compacted_bytes = 0;
 };
@@ -191,6 +237,7 @@ ScalePoint measure(const std::string& dir, size_t per_axis) {
   const ResumeBench compact = bench_resume(dir, submit.tasks, true);
   point.resume_compacted = compact.runs_per_s;
   point.compacted_bytes = compact.journal_bytes;
+  point.checkpoint = bench_checkpoint(dir, submit.tasks, 3);
   return point;
 }
 
@@ -202,6 +249,7 @@ Json to_json(const ScalePoint& point) {
   row["journal_group64_runs_per_s"] = point.journal_group64;
   row["resume_runs_per_s"] = point.resume;
   row["resume_compacted_runs_per_s"] = point.resume_compacted;
+  row["checkpoint_runs_per_s"] = point.checkpoint;
   row["journal_bytes"] = static_cast<int64_t>(point.journal_bytes);
   row["compacted_journal_bytes"] = static_cast<int64_t>(point.compacted_bytes);
   return row;
@@ -215,10 +263,12 @@ int run_smoke() {
   constexpr double kSubmitFloor = 20000.0;   // runs/s
   constexpr double kJournalFloor = 20000.0;  // group-commit appends/s
   constexpr double kResumeFloor = 5000.0;    // runs/s, checkpointed+compacted
+  constexpr double kCheckpointFloor = 100000.0;  // started runs/s
   constexpr int kAttempts = 3;
   TempDir dir("bench_campaign_smoke");
   std::printf("perf-smoke(campaign): 10^4 runs, best of %d\n", kAttempts);
-  double best_submit = 0, best_journal = 0, best_resume = 0;
+  double best_submit = 0, best_journal = 0, best_resume = 0,
+         best_checkpoint = 0;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
     SubmitResult submit = bench_submit(22);  // 22^3 ~= 10^4 runs
     best_submit = std::max(best_submit, submit.runs_per_s);
@@ -226,19 +276,66 @@ int run_smoke() {
         best_journal, bench_journal_append(dir.str(), submit.tasks.size(), 64));
     best_resume =
         std::max(best_resume, bench_resume(dir.str(), submit.tasks, true).runs_per_s);
+    best_checkpoint = std::max(best_checkpoint,
+                               bench_checkpoint(dir.str(), submit.tasks, 1));
     if (best_submit >= kSubmitFloor && best_journal >= kJournalFloor &&
-        best_resume >= kResumeFloor) {
+        best_resume >= kResumeFloor && best_checkpoint >= kCheckpointFloor) {
       std::printf("perf-smoke(campaign): OK (submit %.0f/s, journal %.0f/s, "
-                  "resume %.0f/s)\n",
-                  best_submit, best_journal, best_resume);
+                  "resume %.0f/s, checkpoint %.0f/s)\n",
+                  best_submit, best_journal, best_resume, best_checkpoint);
       return 0;
     }
   }
   std::printf("perf-smoke(campaign): REGRESSION (submit %.0f/s vs %.0f, "
-              "journal %.0f/s vs %.0f, resume %.0f/s vs %.0f)\n",
+              "journal %.0f/s vs %.0f, resume %.0f/s vs %.0f, "
+              "checkpoint %.0f/s vs %.0f)\n",
               best_submit, kSubmitFloor, best_journal, kJournalFloor,
-              best_resume, kResumeFloor);
+              best_resume, kResumeFloor, best_checkpoint, kCheckpointFloor);
   return 1;
+}
+
+// --- record metadata --------------------------------------------------------
+
+std::string cpu_model() {
+  try {
+    const std::string cpuinfo = read_file("/proc/cpuinfo");
+    const size_t at = cpuinfo.find("model name");
+    const size_t colon = cpuinfo.find(':', at);
+    if (at != std::string::npos && colon != std::string::npos) {
+      const size_t begin = cpuinfo.find_first_not_of(' ', colon + 1);
+      return cpuinfo.substr(begin, cpuinfo.find('\n', begin) - begin);
+    }
+  } catch (const std::exception&) {
+  }
+  return "unknown";
+}
+
+/// `git describe --always --dirty` of the source tree, "unknown" without git.
+std::string source_revision() {
+  const std::string command =
+      std::string("git -C '") + FF_REPO_ROOT + "' describe --always --dirty 2>/dev/null";
+  std::string out;
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), pipe)) out += buf;
+    ::pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
+Json metadata() {
+  Json meta = Json::object();
+  meta["nproc"] = static_cast<int64_t>(std::thread::hardware_concurrency());
+  meta["cpu_model"] = cpu_model();
+#ifdef __clang__
+  meta["compiler"] = std::string("clang ") + __clang_version__;
+#else
+  meta["compiler"] = std::string("g++ ") + __VERSION__;
+#endif
+  meta["build_type"] = FF_BUILD_TYPE;
+  meta["revision"] = source_revision();
+  return meta;
 }
 
 }  // namespace
@@ -254,15 +351,16 @@ int main(int argc, char** argv) {
   for (size_t per_axis : {10, 22, 47}) {  // 10^3, ~10^4 (10648), ~10^5 (103823)
     const ScalePoint point = measure(dir.str(), per_axis);
     std::printf("%8zu runs: submit %.0f/s  journal fsync %.0f/s  "
-                "group64 %.0f/s  resume %.0f/s  compacted %.0f/s "
-                "(journal %zu B -> %zu B)\n",
+                "group64 %.0f/s  resume %.0f/s  compacted %.0f/s  "
+                "checkpoint %.0f/s (journal %zu B -> %zu B)\n",
                 point.runs, point.submit, point.journal_fsync,
                 point.journal_group64, point.resume, point.resume_compacted,
-                point.journal_bytes, point.compacted_bytes);
+                point.checkpoint, point.journal_bytes, point.compacted_bytes);
     series.push_back(to_json(point));
   }
   Json out = Json::object();
   out["bench"] = "campaign_scale";
+  out["meta"] = metadata();
   out["series"] = series;
   write_file_atomic(out_path, out.dump() + "\n");
   std::printf("wrote %s\n", out_path.c_str());

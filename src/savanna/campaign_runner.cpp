@@ -288,7 +288,7 @@ CampaignDriver::Step CampaignDriver::step() {
     if (tracker_ && options_.journal.checkpoint_every > 0 &&
         journal_->next_allocation_index() % options_.journal.checkpoint_every ==
             0) {
-      journal_->append_checkpoint(tracker_->to_json_started(), sim_.now());
+      journal_->append_checkpoint(*tracker_, sim_.now());
       if (options_.journal.compact_after_checkpoint) journal_->compact();
     }
   }
@@ -485,7 +485,7 @@ CampaignJournal recover_campaign(sim::Simulation& sim,
             state.checkpoint.get_or("next_index", int64_t{0})) == next_index;
     if (cadence > 0 && next_index > 0 && next_index % cadence == 0 &&
         !checkpoint_on_disk) {
-      journal.append_checkpoint(tracker.to_json_started(), sim.now());
+      journal.append_checkpoint(tracker, sim.now());
     }
     // With compaction policy on, compact at open (idempotent): whether the
     // previous process died before, during, or after its own compaction,

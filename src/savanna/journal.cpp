@@ -7,8 +7,10 @@
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "savanna/tracker.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/strings.hpp"
 
 namespace ff::savanna {
 
@@ -369,18 +371,22 @@ size_t CampaignJournal::append_allocation(Json record) {
   return index;
 }
 
-void CampaignJournal::append_checkpoint(Json tracker_snapshot, double clock) {
+template <typename AppendTracker>
+void CampaignJournal::write_checkpoint(double clock,
+                                       AppendTracker&& append_tracker) {
   if (fd_ < 0) throw StateError("journal is not open for append");
   flush();  // a checkpoint must summarize a durable prefix
   const off_t offset = ::lseek(fd_, 0, SEEK_END);
   if (offset < 0) throw IoError("cannot size journal: " + path_);
-  const size_t runs = tracker_snapshot.size();
-  Json record = Json::object();
-  record["kind"] = "ckpt";
-  record["next_index"] = static_cast<int64_t>(next_index_);
-  record["clock"] = clock;
-  record["tracker"] = std::move(tracker_snapshot);
-  const std::string line = record.dump() + "\n";
+  // The record's keys in Json's sorted order: clock, kind, next_index,
+  // tracker.
+  std::string line = "{\"clock\":";
+  append_double(line, clock);
+  line += ",\"kind\":\"ckpt\",\"next_index\":";
+  line += std::to_string(next_index_);
+  line += ",\"tracker\":";
+  const size_t runs = append_tracker(line);
+  line += "}\n";
   durable_append(fd_, line, path_, WriteKind::Checkpoint, write_index_);
   ++write_index_;
   checkpoint_offset_ = static_cast<size_t>(offset);
@@ -390,6 +396,19 @@ void CampaignJournal::append_checkpoint(Json tracker_snapshot, double clock) {
                         {"runs", runs},
                         {"bytes", line.size()}});
   }
+}
+
+void CampaignJournal::append_checkpoint(const RunTracker& tracker, double clock) {
+  write_checkpoint(clock, [&tracker](std::string& line) {
+    return tracker.append_json(line, RunTracker::Export::Started);
+  });
+}
+
+void CampaignJournal::append_checkpoint(Json tracker_snapshot, double clock) {
+  write_checkpoint(clock, [&tracker_snapshot](std::string& line) {
+    line += tracker_snapshot.dump();
+    return tracker_snapshot.size();
+  });
 }
 
 void CampaignJournal::compact() {

@@ -11,6 +11,8 @@
 
 namespace ff::savanna {
 
+class RunTracker;
+
 /// On-disk journal schema version. Bump when the record shapes change;
 /// replay() refuses journals written by a different schema rather than
 /// silently misreading them. The normative byte-level format lives in
@@ -172,10 +174,13 @@ class CampaignJournal {
   /// record's allocation index.
   size_t append_allocation(Json record);
 
-  /// Append a checkpoint record carrying the tracker snapshot (the
-  /// to_json_started() shape, moved into the record) and the virtual clock.
-  /// Flushes any buffered batch first, so the checkpoint always summarizes
-  /// a durable prefix. Emits `savanna.journal.checkpoint`.
+  /// Append a checkpoint record carrying the tracker's started runs and
+  /// the virtual clock. The line is rendered as text straight from the
+  /// tracker (RunTracker::append_json), no Json value built. Flushes any
+  /// buffered batch first, so the checkpoint always summarizes a durable
+  /// prefix. Emits `savanna.journal.checkpoint`.
+  void append_checkpoint(const RunTracker& tracker, double clock);
+  /// The same record from a snapshot in the to_json_started() shape.
   void append_checkpoint(Json tracker_snapshot, double clock);
 
   /// Rewrite the journal as header + compact marker + newest checkpoint +
@@ -235,6 +240,11 @@ class CampaignJournal {
  private:
   static CampaignJournal create_with_header(const std::string& path, Json header,
                                             size_t run_count);
+  /// The one checkpoint line writer: flush the batch, frame the record
+  /// around the tracker object `append_tracker` appends (it returns the
+  /// runs it wrote), commit it and trace it.
+  template <typename AppendTracker>
+  void write_checkpoint(double clock, AppendTracker&& append_tracker);
   /// close() without the throw: swallow flush failures into last_error_.
   void close_noexcept() noexcept;
   /// Record the in-flight exception's message into last_error_.

@@ -1,9 +1,12 @@
 #include "savanna/tracker.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <iterator>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace ff::savanna {
 
@@ -41,6 +44,11 @@ size_t find_row(const std::string& run_id, const std::string& name,
   }
   throw ValidationError("RunTracker: run '" + run_id + "' has unknown " + what +
                         " '" + name + "'");
+}
+
+void append_int(std::string& out, int64_t value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 /// The tracker is the ComponentRecords tier made concrete, so its state
@@ -155,37 +163,67 @@ RunTracker::RunStatus RunTracker::status(const std::string& run_id) const {
   return status;
 }
 
-Json RunTracker::record_to_json(const RunRecord& run) {
-  Json record = Json::object();
-  record["state"] = names(run.state).name;
-  record["attempts"] = static_cast<int64_t>(run.attempts);
-  Json events = Json::array();
-  for (const EventRecord& event : run.events) {
-    Json entry = Json::object();
-    entry["kind"] = names(event.kind).event;
-    entry["time"] = event.time;
-    if (event.node >= 0) entry["node"] = static_cast<int64_t>(event.node);
-    if (!event.detail.empty()) entry["detail"] = event.detail;
-    events.push_back(std::move(entry));
+size_t RunTracker::append_json(std::string& out, Export which) const {
+  // The map has no order. Sort with std::string's <, the order in which
+  // Json's std::map keys dump.
+  using Entry = const std::pair<const std::string, RunRecord>*;
+  std::vector<Entry> sorted;
+  sorted.reserve(which == Export::All ? runs_.size()
+                                      : counts_.total - counts_.never_started);
+  for (const auto& entry : runs_) {
+    if (which == Export::All || !entry.second.events.empty()) {
+      sorted.push_back(&entry);
+    }
   }
-  record["events"] = std::move(events);
-  return record;
+  std::sort(sorted.begin(), sorted.end(),
+            [](Entry a, Entry b) { return a->first < b->first; });
+  // Keys in Json's sorted order: a record's attempts, events, state; an
+  // event's detail (when set), kind, node (when >= 0), time.
+  out += '{';
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const auto& [run_id, run] = *sorted[i];
+    if (i > 0) out += ',';
+    append_json_string(out, run_id);
+    out += ":{\"attempts\":";
+    append_int(out, static_cast<int64_t>(run.attempts));
+    out += ",\"events\":[";
+    for (size_t e = 0; e < run.events.size(); ++e) {
+      const EventRecord& event = run.events[e];
+      out += e > 0 ? ",{" : "{";
+      if (!event.detail.empty()) {
+        out += "\"detail\":";
+        append_json_string(out, event.detail);
+        out += ',';
+      }
+      out += "\"kind\":\"";
+      out += names(event.kind).event;
+      out += '"';
+      if (event.node >= 0) {
+        out += ",\"node\":";
+        append_int(out, event.node);
+      }
+      out += ",\"time\":";
+      append_double(out, event.time);
+      out += '}';
+    }
+    out += "],\"state\":\"";
+    out += names(run.state).name;
+    out += "\"}";
+  }
+  out += '}';
+  return sorted.size();
 }
 
 Json RunTracker::to_json() const {
-  // Json objects are sorted maps, so insertion order does not matter: the
-  // export is sorted by run id whatever the hash order.
-  Json out = Json::object();
-  for (const auto& [run_id, run] : runs_) out[run_id] = record_to_json(run);
-  return out;
+  std::string text;
+  append_json(text, Export::All);
+  return Json::parse(text);
 }
 
 Json RunTracker::to_json_started() const {
-  Json out = Json::object();
-  for (const auto& [run_id, run] : runs_) {
-    if (!run.events.empty()) out[run_id] = record_to_json(run);
-  }
-  return out;
+  std::string text;
+  append_json(text, Export::Started);
+  return Json::parse(text);
 }
 
 void RunTracker::restore(const Json& records) {

@@ -19,7 +19,8 @@ namespace ff::savanna {
 /// names appear only where bytes leave the tracker (status(), the exports
 /// and the savanna.run.state trace event), and restore() rejects a name
 /// outside it. counts() reads aggregates the transitions keep up to date.
-/// Exported provenance (to_json) is sorted by run id.
+/// Exported provenance is sorted by run id; append_json() writes it as
+/// text, which is how a journal checkpoint gets it.
 class RunTracker {
  public:
   /// Register a run (attempt counter starts at 0).
@@ -61,13 +62,22 @@ class RunTracker {
   /// O(1): aggregates are maintained incrementally by the mark_* calls.
   Counts counts() const { return counts_; }
 
+  /// Which runs an export carries: every run, or only the runs with at
+  /// least one recorded event. The started runs are the journal checkpoint
+  /// payload — pending runs carry no state a resume could not recreate
+  /// from the manifest, so a checkpoint's size tracks the started
+  /// population, not the sweep size.
+  enum class Export : uint8_t { All, Started };
+  /// The one provenance renderer: append the selected runs' records to
+  /// `out` as one JSON object sorted by run id, byte for byte what
+  /// Json::dump() gives for the same records, without building a Json
+  /// value. Returns the number of runs written.
+  size_t append_json(std::string& out, Export which) const;
+
   /// Full provenance export (one record per run with its event list),
-  /// sorted by run id.
+  /// sorted by run id: append_json(Export::All), parsed.
   Json to_json() const;
-  /// Sparse export: only runs with at least one recorded event. This is the
-  /// journal checkpoint payload — pending runs carry no state a resume
-  /// could not recreate from the manifest, so a checkpoint's size tracks
-  /// the started population, not the sweep size.
+  /// Sparse export: append_json(Export::Started), parsed.
   Json to_json_started() const;
   /// Load records (the to_json/to_json_started shape) into this tracker.
   /// Throws ValidationError, naming the run, on a run id already present
@@ -97,7 +107,6 @@ class RunTracker {
   /// The one transition: move the counts, record the event, trace it.
   void enter(const std::string& run_id, RunRecord& run, State to, double time,
              int node, std::string detail);
-  static Json record_to_json(const RunRecord& run);
 
   std::unordered_map<std::string, RunRecord> runs_;
   Counts counts_;

@@ -568,9 +568,11 @@ void ServiceCore::run_slice(const std::string& name) {
 
 void ServiceCore::finalize_locked(CampaignState& campaign) {
   // Write execution results back into the endpoint — the batch epilogue.
+  // A run that never started stays Pending (unmarked in a sparse endpoint).
   for (const sim::TaskSpec& task : campaign.tasks) {
-    if (!campaign.tracker->has_run(task.id)) continue;  // stays Pending
+    if (!campaign.tracker->has_run(task.id)) continue;
     const std::string state = campaign.tracker->status(task.id).state;
+    if (state == "pending") continue;
     cheetah::RunState mark = cheetah::RunState::Killed;
     if (state == "done") {
       mark = cheetah::RunState::Done;

@@ -1,12 +1,12 @@
 #include "util/fs.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
-#include <sstream>
+#include <cerrno>
 
 #include "util/error.hpp"
 
@@ -15,11 +15,36 @@ namespace ff {
 namespace fs = std::filesystem;
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw IoError("cannot open for reading: " + path);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat info {};
+  if (::fstat(fd, &info) != 0) throw IoError("cannot stat: " + path);
+  if (S_ISDIR(info.st_mode)) throw IoError("cannot read a directory: " + path);
+  auto read_some = [&](char* into, size_t size) {
+    while (true) {
+      const ssize_t n = ::read(fd, into, size);
+      if (n >= 0) return static_cast<size_t>(n);
+      if (errno != EINTR) throw IoError("read failed: " + path);
+    }
+  };
+  // Read straight into a string of the size fstat reports, then on to EOF
+  // in chunks: a file that grew meanwhile, or one whose size fstat cannot
+  // tell (procfs, pipes), is read whole all the same.
+  std::string text(static_cast<size_t>(std::max<off_t>(info.st_size, 0)), '\0');
+  size_t have = 0;
+  while (have < text.size()) {
+    const size_t n = read_some(text.data() + have, text.size() - have);
+    if (n == 0) break;  // the file shrank
+    have += n;
+  }
+  text.resize(have);
+  char chunk[16384];
+  while (const size_t n = read_some(chunk, sizeof(chunk))) text.append(chunk, n);
+  return text;
 }
 
 void write_file(const std::string& path, const std::string& content) {

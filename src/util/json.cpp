@@ -1,9 +1,9 @@
 #include "util/json.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
 
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -243,7 +243,9 @@ class Parser {
   size_t column_ = 1;
 };
 
-void append_escaped(std::string& out, std::string_view s) {
+}  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -267,17 +269,12 @@ void append_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
-}  // namespace
-
 Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
 
 Json Json::parse_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::string text = read_file(path);
   try {
-    return parse(buffer.str());
+    return parse(text);
   } catch (const ParseError& e) {
     throw ParseError(std::string(e.what()) + " (in file " + path + ")");
   }
@@ -455,8 +452,8 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += std::get<bool>(value_) ? "true" : "false"; break;
     case Type::Int: out += std::to_string(std::get<int64_t>(value_)); break;
-    case Type::Double: out += format_double(std::get<double>(value_)); break;
-    case Type::String: append_escaped(out, std::get<std::string>(value_)); break;
+    case Type::Double: append_double(out, std::get<double>(value_)); break;
+    case Type::String: append_json_string(out, std::get<std::string>(value_)); break;
     case Type::Array_: {
       const Array& array = std::get<Array>(value_);
       if (array.empty()) {
@@ -494,7 +491,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
           out += '\n';
           out += pad;
         }
-        append_escaped(out, key);
+        append_json_string(out, key);
         out += pretty ? ": " : ":";
         value.dump_to(out, indent, depth + 1);
       }

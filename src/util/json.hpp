@@ -132,4 +132,8 @@ class Json {
       value_;
 };
 
+/// Append `s` to `out` as a quoted JSON string literal, escaped exactly as
+/// Json::dump() escapes strings and keys.
+void append_json_string(std::string& out, std::string_view s);
+
 }  // namespace ff

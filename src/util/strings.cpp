@@ -99,15 +99,28 @@ bool is_integer(std::string_view text) {
 }
 
 std::string format_double(double value) {
-  if (std::isnan(value)) return "null";  // JSON has no NaN; callers rely on this
-  if (std::isinf(value)) return value > 0 ? "1e999" : "-1e999";
+  std::string out;
+  append_double(out, value);
+  return out;
+}
+
+void append_double(std::string& out, double value) {
+  if (std::isnan(value)) {  // JSON has no NaN; callers rely on this
+    out += "null";
+    return;
+  }
+  if (std::isinf(value)) {
+    out += value > 0 ? "1e999" : "-1e999";
+    return;
+  }
   char buf[64];
   char* const buf_end = buf + sizeof(buf);
   // Integral values in the safe range print as "N.0" rather than "1e+01"
   // (to_chars with a precision is defined as printf: this is "%.1f").
   if (value == std::floor(value) && std::abs(value) < 1e15) {
-    return std::string(
-        buf, std::to_chars(buf, buf_end, value, std::chars_format::fixed, 1).ptr);
+    out.append(buf,
+               std::to_chars(buf, buf_end, value, std::chars_format::fixed, 1).ptr);
+    return;
   }
   // The shortest "%.Pg" (P in 1..17) that parses back to `value`. The
   // shortest round-trip scientific form has S significant digits, so no
@@ -129,13 +142,13 @@ std::string format_double(double value) {
     std::from_chars(buf, text_end, parsed);  // correctly rounded, like strtod
     if (parsed == value) break;
   }
-  std::string out(buf, text_end);
+  const std::string_view text(buf, static_cast<size_t>(text_end - buf));
+  out += text;
   // Ensure the representation re-parses as floating point, not integer.
-  if (out.find_first_of(".eE") == std::string::npos &&
-      out.find_first_of("0123456789") != std::string::npos) {
+  if (text.find_first_of(".eE") == std::string_view::npos &&
+      text.find_first_of("0123456789") != std::string_view::npos) {
     out += ".0";
   }
-  return out;
 }
 
 std::string format_fixed(double value, int precision) {

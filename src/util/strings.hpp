@@ -34,6 +34,8 @@ bool is_integer(std::string_view text);
 /// Render a double the way JSON expects: shortest round-trippable form,
 /// always with a '.' or exponent so it re-parses as floating point.
 std::string format_double(double value);
+/// format_double, appended to `out` without a temporary string.
+void append_double(std::string& out, double value);
 
 /// "%.3f"-style fixed formatting without the iostream dance.
 std::string format_fixed(double value, int precision);

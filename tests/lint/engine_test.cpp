@@ -29,6 +29,17 @@ TEST(LintEngine, ParseFailureIsFF001AtTheFailurePoint) {
   expect_findings(report, {{"FF001", 4, 1, Severity::Error}});
 }
 
+TEST(LintEngine, UnreadableDirectoryIsFF001) {
+  // A directory passed as a file cannot be read; it is not an empty file.
+  TempDir dir;
+  const LintEngine engine;
+  const LintReport report = engine.lint_file(dir.str());
+  ASSERT_EQ(report.diagnostics().size(), 1u) << report.render_text();
+  EXPECT_EQ(report.diagnostics()[0].code, "FF001");
+  EXPECT_NE(report.diagnostics()[0].message.find("cannot read file"),
+            std::string::npos);
+}
+
 TEST(LintEngine, UnknownArtifactKindIsOnlyANote) {
   const LintReport report = lint_fixture("unknown_kind.json");
   expect_findings(report, {{"FF002", 1, 1, Severity::Note}});

@@ -91,6 +91,34 @@ TEST(ServiceCore, ConcurrentCampaignsStayByteIdentical) {
   EXPECT_EQ(core.list().size(), 4u);
 }
 
+TEST(ServiceCore, NeverStartedRunsStayPendingInTheEndpoint) {
+  // Walltime-killed stragglers fill the only node for two allocations and
+  // the campaign stops (the stall itself is ROADMAP item 1). The runs it
+  // never started must read pending, not killed.
+  TempDir dir;
+  ServiceCore::Options options;
+  options.root = dir.file("service");
+  options.workers = 1;
+  ServiceCore core(options);
+  CampaignConfig config = config_for(sliced_manifest("stalled", 24));
+  config.durations.straggler_fraction = 0.3;
+  config.retry.base_backoff_s = 300;
+  const std::string name = core.submit(config, "s1");
+  core.drain();
+
+  const CampaignInfo info = core.info(name);
+  ASSERT_EQ(info.state, "done");
+  EXPECT_EQ(info.allocations, 2u);
+  EXPECT_EQ(info.counts.done, 2u);
+  EXPECT_EQ(info.counts.killed, 2u);
+  EXPECT_EQ(info.counts.never_started, 20u);
+  const auto status =
+      cheetah::CampaignEndpoint::open(options.root, name).status();
+  EXPECT_EQ(status.done, 2u);
+  EXPECT_EQ(status.killed, 2u);
+  EXPECT_EQ(status.pending, 20u);
+}
+
 TEST(ServiceCore, LintRejectionLeavesNoDirectory) {
   TempDir dir;
   ServiceCore::Options options;

@@ -85,6 +85,7 @@ inline std::string run_batch_reference(
   for (const sim::TaskSpec& task : tasks) {
     if (!tracker.has_run(task.id)) continue;
     const std::string state = tracker.status(task.id).state;
+    if (state == "pending") continue;  // never started: stays Pending
     cheetah::RunState mark = cheetah::RunState::Killed;
     if (state == "done") {
       mark = cheetah::RunState::Done;

@@ -21,6 +21,34 @@ TEST(Fs, ReadMissingFileThrows) {
   EXPECT_THROW(read_file(dir.file("missing")), IoError);
 }
 
+TEST(Fs, ReadEmptyFileIsEmpty) {
+  TempDir dir;
+  write_file(dir.file("empty"), "");
+  EXPECT_EQ(read_file(dir.file("empty")), "");
+}
+
+TEST(Fs, ReadDirectoryThrows) {
+  TempDir dir;
+  EXPECT_THROW(read_file(dir.str()), IoError);
+}
+
+TEST(Fs, ReadsAFileLargerThanOneChunkWithNulBytesWhole) {
+  TempDir dir;
+  std::string content;
+  for (size_t i = 0; i < 300000; ++i) {
+    content += i % 997 == 0 ? '\0' : static_cast<char>('a' + i % 26);
+  }
+  write_file(dir.file("big"), content);
+  EXPECT_EQ(read_file(dir.file("big")), content);
+}
+
+TEST(Fs, ReadsAFileWhoseSizeStatCannotTell) {
+  // procfs reports size 0 for files that have content.
+  if (!std::filesystem::exists("/proc/self/status")) GTEST_SKIP();
+  const std::string text = read_file("/proc/self/status");
+  EXPECT_NE(text.find("Name:"), std::string::npos);
+}
+
 TEST(TempDir, CreatesUniqueDirectories) {
   TempDir a;
   TempDir b;
