@@ -14,6 +14,8 @@ ff_add_bench(fig2_gwas_paste ff_gwas ff_cheetah)
 ff_add_bench(fig3_ckpt_overhead ff_ckpt)
 ff_add_bench(fig4_ckpt_variation ff_ckpt)
 ff_add_bench(fig5_stream_policies ff_stream)
+target_compile_definitions(fig5_stream_policies PRIVATE
+  FF_REPO_ROOT="${CMAKE_SOURCE_DIR}" FF_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
 ff_add_bench(fig6_irf_timeline ff_savanna ff_irf)
 ff_add_bench(fig7_irf_campaign ff_savanna ff_cheetah ff_irf)
 ff_add_bench(tab1_gauge_assessment ff_core ff_gwas)

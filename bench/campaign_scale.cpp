@@ -30,9 +30,9 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "host_record.hpp"
 #include "cheetah/sweep.hpp"
 #include "cluster/workload.hpp"
 #include "savanna/campaign_runner.hpp"
@@ -294,50 +294,6 @@ int run_smoke() {
   return 1;
 }
 
-// --- record metadata --------------------------------------------------------
-
-std::string cpu_model() {
-  try {
-    const std::string cpuinfo = read_file("/proc/cpuinfo");
-    const size_t at = cpuinfo.find("model name");
-    const size_t colon = cpuinfo.find(':', at);
-    if (at != std::string::npos && colon != std::string::npos) {
-      const size_t begin = cpuinfo.find_first_not_of(' ', colon + 1);
-      return cpuinfo.substr(begin, cpuinfo.find('\n', begin) - begin);
-    }
-  } catch (const std::exception&) {
-  }
-  return "unknown";
-}
-
-/// `git describe --always --dirty` of the source tree, "unknown" without git.
-std::string source_revision() {
-  const std::string command =
-      std::string("git -C '") + FF_REPO_ROOT + "' describe --always --dirty 2>/dev/null";
-  std::string out;
-  if (FILE* pipe = ::popen(command.c_str(), "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof(buf), pipe)) out += buf;
-    ::pclose(pipe);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
-
-Json metadata() {
-  Json meta = Json::object();
-  meta["nproc"] = static_cast<int64_t>(std::thread::hardware_concurrency());
-  meta["cpu_model"] = cpu_model();
-#ifdef __clang__
-  meta["compiler"] = std::string("clang ") + __clang_version__;
-#else
-  meta["compiler"] = std::string("g++ ") + __VERSION__;
-#endif
-  meta["build_type"] = FF_BUILD_TYPE;
-  meta["revision"] = source_revision();
-  return meta;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -360,7 +316,7 @@ int main(int argc, char** argv) {
   }
   Json out = Json::object();
   out["bench"] = "campaign_scale";
-  out["meta"] = metadata();
+  out["meta"] = bench::host_record();
   out["series"] = series;
   write_file_atomic(out_path, out.dump() + "\n");
   std::printf("wrote %s\n", out_path.c_str());

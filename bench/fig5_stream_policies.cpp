@@ -11,9 +11,9 @@
 //  3. Channel microbench: mutex deque vs SPSC ring vs MPMC ring, single-
 //     threaded op cost and 1-producer/1-consumer transfer rate.
 //  4. The hot path: forward-all across 8 queues with cost-free consumers,
-//     before (mutex channel, batch 1, per-record publish) vs after (SPSC
-//     ring, batch 64, batched publish) at 1/2/4/8 workers — the records/s
-//     grid behind the "order of magnitude" claim.
+//     before (mutex channel, batch 1, per-record publish) vs after (batch
+//     64, batched publish) on each of the three channel kinds carrying the
+//     plane's shared RecordRefs, at 1/2/4/8 workers.
 //  5. Paced latency: a producer below saturation (the steady state of a
 //     real instrument) with a 50 us simulated downstream cost; publish ->
 //     delivery p50/p95/p99, sync vs threaded. Saturating-producer runs
@@ -22,8 +22,9 @@
 //  7. Runtime steering: install a policy unknown at generation time via
 //     the control channel, landing on the concurrent plane.
 //
-// Writes the measured series to BENCH_stream.json (path = argv[1] or the
-// default below) — the committed record of data-plane performance.
+// Writes the measured series, with the host, compiler, build type and
+// revision, to BENCH_stream.json (path = argv[1] or the default below) —
+// the committed record of data-plane performance.
 //
 // `--smoke`: a ~2 s regression guard (the ctest `perf-smoke` label): the
 // threaded plane at 1 worker must not be slower than the sync scheduler
@@ -33,11 +34,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "host_record.hpp"
 #include "stream/codegen.hpp"
 #include "stream/marshal.hpp"
 #include "stream/pipeline.hpp"
@@ -147,7 +150,11 @@ struct HotConfig {
 };
 
 constexpr HotConfig kBefore{"before", stream::ChannelKind::Mutex, 1, false};
-constexpr HotConfig kAfter{"after", stream::ChannelKind::Spsc, 64, true};
+constexpr HotConfig kAfter[] = {
+    {"after", stream::ChannelKind::Mutex, 64, true},
+    {"after", stream::ChannelKind::Spsc, 64, true},
+    {"after", stream::ChannelKind::Mpmc, 64, true},
+};
 
 /// Publish `records` through kQueues forward-all queues with cost-free
 /// counting consumers and return end-to-end records/s (publish start to
@@ -392,11 +399,10 @@ int main(int argc, char** argv) {
   std::printf("Fig 5 — generated communication + concurrent data plane\n\n");
 
   Json bench = Json::object();
-  bench["schema"] = std::string("fairflow.bench.stream/2");
+  bench["schema"] = std::string("fairflow.bench.stream/3");
+  bench["meta"] = ff::bench::host_record();
   bench["queues"] = static_cast<int64_t>(kQueues);
   bench["consumer_cost_us"] = static_cast<int64_t>(kConsumerCost.count());
-  bench["hardware_concurrency"] =
-      static_cast<int64_t>(std::thread::hardware_concurrency());
 
   // 1. Reuse accounting under change.
   const auto base = stream::generate_comm_code(instrument_schema(2));
@@ -515,9 +521,11 @@ int main(int argc, char** argv) {
 
   // 4. The hot path: before/after transport, cost-free consumers.
   constexpr uint64_t kHotRecords = 60'000;
+  constexpr int kHotRepeats = 5;
   std::printf("\nhot path: %zu forward-all queues, %llu records, cost-free "
-              "consumers\n",
-              kQueues, static_cast<unsigned long long>(kHotRecords));
+              "consumers, median of %d runs\n",
+              kQueues, static_cast<unsigned long long>(kHotRecords),
+              kHotRepeats);
   std::printf("%-8s %-8s %6s %8s %12s\n", "config", "channel", "batch",
               "workers", "records/s");
   const double sync_hot = run_hot_sync(kHotRecords);
@@ -532,9 +540,17 @@ int main(int argc, char** argv) {
   }
   double after_4w = 0;
   double before_4w = 0;
-  for (const HotConfig& config : {kBefore, kAfter}) {
+  std::vector<HotConfig> configs = {kBefore};
+  configs.insert(configs.end(), std::begin(kAfter), std::end(kAfter));
+  for (const HotConfig& config : configs) {
     for (size_t workers : {1u, 2u, 4u, 8u}) {
-      const double rate = run_hot_plane(config, workers, kHotRecords);
+      // Median of kHotRepeats fresh planes: where the threads land differs
+      // run to run, and one run can be an outlier.
+      std::vector<double> rates;
+      for (int repeat = 0; repeat < kHotRepeats; ++repeat) {
+        rates.push_back(run_hot_plane(config, workers, kHotRecords));
+      }
+      const double rate = median(rates);
       std::printf("%-8s %-8s %6zu %8zu %12.0f\n", config.name,
                   stream::channel_kind_name(config.channel), config.batch,
                   workers, rate);
@@ -545,12 +561,15 @@ int main(int argc, char** argv) {
       row["workers"] = static_cast<int64_t>(workers);
       row["records_s"] = rate;
       hot.push_back(row);
-      if (workers == 4) {
-        (config.batched_publish ? after_4w : before_4w) = rate;
+      if (workers == 4 && !config.batched_publish) before_4w = rate;
+      if (workers == 4 && config.batched_publish &&
+          config.channel == stream::ChannelKind::Spsc) {
+        after_4w = rate;
       }
     }
   }
   bench["hot_path"] = hot;
+  bench["hot_path_runs_per_cell"] = static_cast<int64_t>(kHotRepeats);
   bench["hot_path_speedup_after_vs_before_4w"] =
       before_4w > 0 ? after_4w / before_4w : 0;
   // The PR-4 committed grid measured forward-all at 3793 records/s with 4

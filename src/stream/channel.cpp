@@ -1,5 +1,6 @@
 #include "stream/channel.hpp"
 
+#include <algorithm>
 #include <thread>
 
 #include "obs/trace.hpp"
@@ -61,46 +62,66 @@ ChannelKind parse_channel_kind(std::string_view name) {
                         "' (want mutex, spsc, or mpmc)");
 }
 
-std::unique_ptr<Channel> make_channel(ChannelKind kind, size_t capacity) {
+template <typename T>
+std::unique_ptr<BasicChannel<T>> make_channel(ChannelKind kind, size_t capacity) {
   if (kind == ChannelKind::Mutex) {
-    return std::make_unique<MutexChannel>(capacity);
+    return std::make_unique<BasicMutexChannel<T>>(capacity);
   }
-  return std::make_unique<RingChannel>(capacity, kind);
+  return std::make_unique<BasicRingChannel<T>>(capacity, kind);
 }
 
-// --- MutexChannel ---------------------------------------------------------
+// --- BasicMutexChannel ----------------------------------------------------
 
-MutexChannel::MutexChannel(size_t capacity) : capacity_(capacity) {
+template <typename T>
+BasicMutexChannel<T>::BasicMutexChannel(size_t capacity) : capacity_(capacity) {
   if (capacity == 0) throw ValidationError("Channel: capacity must be > 0");
 }
 
-bool MutexChannel::send(Record record) {
+template <typename T>
+bool BasicMutexChannel<T>::send(T item) {
   std::unique_lock lock(mutex_);
   ++send_waiters_;
   not_full_.wait(lock, [this] { return closed_ || queue_.size() < capacity_; });
   --send_waiters_;
   if (closed_) return false;
-  queue_.push_back(std::move(record));
+  queue_.push_back(std::move(item));
   ++sent_;
   lock.unlock();
   not_empty_.notify_one();
   return true;
 }
 
-bool MutexChannel::try_send(Record record) {
+template <typename T>
+bool BasicMutexChannel<T>::try_send(T item) {
   {
     std::lock_guard lock(mutex_);
     if (closed_ || queue_.size() >= capacity_) return false;
-    queue_.push_back(std::move(record));
+    queue_.push_back(std::move(item));
     ++sent_;
   }
   not_empty_.notify_one();
   return true;
 }
 
-Channel::OfferResult MutexChannel::offer(Record record, Overflow policy) {
+template <typename T>
+size_t BasicMutexChannel<T>::try_send_batch(T* first, size_t count) {
+  size_t taken = 0;
+  {
+    std::lock_guard lock(mutex_);
+    if (closed_) return 0;
+    taken = std::min(count, capacity_ - queue_.size());
+    for (size_t i = 0; i < taken; ++i) queue_.push_back(std::move(first[i]));
+    sent_ += taken;
+  }
+  if (taken > 0) not_empty_.notify_all();
+  return taken;
+}
+
+template <typename T>
+typename BasicMutexChannel<T>::OfferResult BasicMutexChannel<T>::offer(
+    T item, Overflow policy) {
   if (policy == Overflow::Block) {
-    return OfferResult{send(std::move(record)), 0};
+    return OfferResult{send(std::move(item)), 0};
   }
   OfferResult result;
   {
@@ -110,13 +131,13 @@ Channel::OfferResult MutexChannel::offer(Record record, Overflow policy) {
       if (policy == Overflow::DropOldest) {
         queue_.pop_front();
         result.evicted = 1;
-      } else {  // KeepLatest: conflate to the incoming record
+      } else {  // KeepLatest: conflate to the incoming item
         result.evicted = queue_.size();
         queue_.clear();
       }
       dropped_ += result.evicted;
     }
-    queue_.push_back(std::move(record));
+    queue_.push_back(std::move(item));
     ++sent_;
     result.accepted = true;
   }
@@ -124,34 +145,37 @@ Channel::OfferResult MutexChannel::offer(Record record, Overflow policy) {
   return result;
 }
 
-std::optional<Record> MutexChannel::receive() {
+template <typename T>
+std::optional<T> BasicMutexChannel<T>::receive() {
   std::unique_lock lock(mutex_);
   ++receive_waiters_;
   not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
   --receive_waiters_;
   if (queue_.empty()) return std::nullopt;  // closed and drained
-  Record record = std::move(queue_.front());
+  T item = std::move(queue_.front());
   queue_.pop_front();
   ++received_;
   lock.unlock();
   not_full_.notify_one();
-  return record;
+  return item;
 }
 
-std::optional<Record> MutexChannel::try_receive() {
-  std::optional<Record> record;
+template <typename T>
+std::optional<T> BasicMutexChannel<T>::try_receive() {
+  std::optional<T> item;
   {
     std::lock_guard lock(mutex_);
     if (queue_.empty()) return std::nullopt;
-    record = std::move(queue_.front());
+    item = std::move(queue_.front());
     queue_.pop_front();
     ++received_;
   }
   not_full_.notify_one();
-  return record;
+  return item;
 }
 
-std::optional<Record> MutexChannel::receive_for(
+template <typename T>
+std::optional<T> BasicMutexChannel<T>::receive_for(
     std::chrono::nanoseconds timeout) {
   std::unique_lock lock(mutex_);
   ++receive_waiters_;
@@ -159,15 +183,16 @@ std::optional<Record> MutexChannel::receive_for(
       lock, timeout, [this] { return closed_ || !queue_.empty(); });
   --receive_waiters_;
   if (!ready || queue_.empty()) return std::nullopt;  // timeout, or drained
-  Record record = std::move(queue_.front());
+  T item = std::move(queue_.front());
   queue_.pop_front();
   ++received_;
   lock.unlock();
   not_full_.notify_one();
-  return record;
+  return item;
 }
 
-size_t MutexChannel::drain_into(std::vector<Record>& out, size_t max) {
+template <typename T>
+size_t BasicMutexChannel<T>::drain_into(std::vector<T>& out, size_t max) {
   size_t taken = 0;
   {
     std::lock_guard lock(mutex_);
@@ -182,7 +207,8 @@ size_t MutexChannel::drain_into(std::vector<Record>& out, size_t max) {
   return taken;
 }
 
-void MutexChannel::close() {
+template <typename T>
+void BasicMutexChannel<T>::close() {
   {
     std::lock_guard lock(mutex_);
     closed_ = true;
@@ -191,8 +217,9 @@ void MutexChannel::close() {
   not_empty_.notify_all();
 }
 
-std::vector<Record> MutexChannel::close_and_drain() {
-  std::vector<Record> remaining;
+template <typename T>
+std::vector<T> BasicMutexChannel<T>::close_and_drain() {
+  std::vector<T> remaining;
   {
     std::lock_guard lock(mutex_);
     closed_ = true;
@@ -208,44 +235,52 @@ std::vector<Record> MutexChannel::close_and_drain() {
   return remaining;
 }
 
-bool MutexChannel::closed() const {
+template <typename T>
+bool BasicMutexChannel<T>::closed() const {
   std::lock_guard lock(mutex_);
   return closed_;
 }
 
-size_t MutexChannel::size() const {
+template <typename T>
+size_t BasicMutexChannel<T>::size() const {
   std::lock_guard lock(mutex_);
   return queue_.size();
 }
 
-uint64_t MutexChannel::sent() const {
+template <typename T>
+uint64_t BasicMutexChannel<T>::sent() const {
   std::lock_guard lock(mutex_);
   return sent_;
 }
 
-uint64_t MutexChannel::received() const {
+template <typename T>
+uint64_t BasicMutexChannel<T>::received() const {
   std::lock_guard lock(mutex_);
   return received_;
 }
 
-uint64_t MutexChannel::dropped() const {
+template <typename T>
+uint64_t BasicMutexChannel<T>::dropped() const {
   std::lock_guard lock(mutex_);
   return dropped_;
 }
 
-size_t MutexChannel::send_waiters() const {
+template <typename T>
+size_t BasicMutexChannel<T>::send_waiters() const {
   std::lock_guard lock(mutex_);
   return send_waiters_;
 }
 
-size_t MutexChannel::receive_waiters() const {
+template <typename T>
+size_t BasicMutexChannel<T>::receive_waiters() const {
   std::lock_guard lock(mutex_);
   return receive_waiters_;
 }
 
-// --- RingChannel ----------------------------------------------------------
+// --- BasicRingChannel -----------------------------------------------------
 
-RingChannel::RingChannel(size_t capacity, ChannelKind kind)
+template <typename T>
+BasicRingChannel<T>::BasicRingChannel(size_t capacity, ChannelKind kind)
     : kind_(kind),
       capacity_(round_up_pow2(capacity)),
       cells_n_(std::max<size_t>(2, capacity_)),
@@ -264,9 +299,8 @@ RingChannel::RingChannel(size_t capacity, ChannelKind kind)
   }
 }
 
-RingChannel::~RingChannel() = default;
-
-bool RingChannel::push(Record& record) {
+template <typename T>
+bool BasicRingChannel<T>::push(T& item) {
   uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
   for (;;) {
     if (capacity_ != cells_n_ &&
@@ -288,7 +322,7 @@ bool RingChannel::push(Record& record) {
                      pos, pos + 1, std::memory_order_relaxed)) {
         continue;  // lost the claim race; pos was reloaded by the CAS
       }
-      cell.record = std::move(record);
+      cell.item = std::move(item);
       cell.sequence.store(pos + 1, std::memory_order_release);
       return true;
     }
@@ -297,7 +331,8 @@ bool RingChannel::push(Record& record) {
   }
 }
 
-bool RingChannel::pop(Record& record) {
+template <typename T>
+bool BasicRingChannel<T>::pop(T& item) {
   // Always multi-consumer: real consumers, lossy-eviction producers, and
   // close_and_drain all pop through this CAS protocol.
   uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
@@ -310,8 +345,8 @@ bool RingChannel::pop(Record& record) {
                                               std::memory_order_relaxed)) {
         continue;
       }
-      record = std::move(cell.record);
-      cell.record = Record{};  // release payload memory eagerly
+      item = std::move(cell.item);
+      cell.item = T{};  // release payload memory eagerly
       cell.sequence.store(pos + cells_n_, std::memory_order_release);
       return true;
     }
@@ -320,10 +355,11 @@ bool RingChannel::pop(Record& record) {
   }
 }
 
-bool RingChannel::push_open(Record& record, bool& rejected) {
+template <typename T>
+size_t BasicRingChannel<T>::push_open(T* first, size_t count, bool& rejected) {
   // The seq_cst ticket RMW orders this send against close_and_drain: if we
   // read `closed == false` below, the closer's subsequent in-flight read is
-  // guaranteed to observe our ticket and wait for this push to land.
+  // guaranteed to observe our ticket and wait for these pushes to land.
   in_flight_.fetch_add(1, std::memory_order_seq_cst);
   if (closed_.load(std::memory_order_seq_cst)) {
     in_flight_.fetch_sub(1, std::memory_order_release);
@@ -331,27 +367,30 @@ bool RingChannel::push_open(Record& record, bool& rejected) {
     // A receiver may be parked waiting on "closed && in_flight == 0";
     // aborted sends must not leave it asleep.
     wake_receivers();
-    return false;
+    return 0;
   }
   rejected = false;
-  const bool pushed = push(record);
+  size_t pushed = 0;
+  while (pushed < count && push(first[pushed])) ++pushed;
   in_flight_.fetch_sub(1, std::memory_order_release);
-  if (pushed) {
-    sent_.fetch_add(1, std::memory_order_relaxed);
+  if (pushed > 0) {
+    sent_.fetch_add(pushed, std::memory_order_relaxed);
     wake_receivers();
   }
   return pushed;
 }
 
-bool RingChannel::drained() const {
+template <typename T>
+bool BasicRingChannel<T>::drained() const {
   if (!closed_.load(std::memory_order_acquire)) return false;
   if (size() != 0) return false;
   // A send that won the race against close() may still be materializing
-  // its record; don't report "drained" until it lands or aborts.
+  // its item; don't report "drained" until it lands or aborts.
   return in_flight_.load(std::memory_order_seq_cst) == 0;
 }
 
-void RingChannel::wake_senders() {
+template <typename T>
+void BasicRingChannel<T>::wake_senders() {
   // Eventcount handshake (waker side): make the pop visible, then look for
   // parked senders. Pairs with the fence after the waiter registers.
   std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -360,18 +399,20 @@ void RingChannel::wake_senders() {
   not_full_.notify_all();
 }
 
-void RingChannel::wake_receivers() {
+template <typename T>
+void BasicRingChannel<T>::wake_receivers() {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (receive_waiters_.load(std::memory_order_relaxed) == 0) return;
   { std::lock_guard lock(park_mutex_); }
   not_empty_.notify_all();
 }
 
-bool RingChannel::send(Record record) {
+template <typename T>
+bool BasicRingChannel<T>::send(T item) {
   for (;;) {
     bool rejected = false;
     for (int spin = spin_budget(); spin > 0; --spin) {
-      if (push_open(record, rejected)) return true;
+      if (push_open(&item, 1, rejected) == 1) return true;
       if (rejected) return false;
       cpu_relax();
     }
@@ -391,28 +432,37 @@ bool RingChannel::send(Record record) {
   }
 }
 
-bool RingChannel::try_send(Record record) {
+template <typename T>
+bool BasicRingChannel<T>::try_send(T item) {
   bool rejected = false;
-  return push_open(record, rejected);
+  return push_open(&item, 1, rejected) == 1;
 }
 
-Channel::OfferResult RingChannel::offer(Record record, Overflow policy) {
+template <typename T>
+size_t BasicRingChannel<T>::try_send_batch(T* first, size_t count) {
+  bool rejected = false;
+  return push_open(first, count, rejected);
+}
+
+template <typename T>
+typename BasicRingChannel<T>::OfferResult BasicRingChannel<T>::offer(
+    T item, Overflow policy) {
   if (policy == Overflow::Block) {
-    return OfferResult{send(std::move(record)), 0};
+    return OfferResult{send(std::move(item)), 0};
   }
   OfferResult result;
   for (;;) {
     bool rejected = false;
-    if (push_open(record, rejected)) {
+    if (push_open(&item, 1, rejected) == 1) {
       result.accepted = true;
       return result;
     }
     if (rejected) return result;  // closed: not accepted
     // Full: evict per policy, then retry. Eviction pops race real
     // consumers safely (the pop protocol is multi-consumer); each round
-    // either pushes or removes a record, so the loop makes progress even
+    // either pushes or removes an item, so the loop makes progress even
     // when other producers keep refilling the ring.
-    Record discard;
+    T discard;
     if (policy == Overflow::DropOldest) {
       if (pop(discard)) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -431,14 +481,15 @@ Channel::OfferResult RingChannel::offer(Record record, Overflow policy) {
   }
 }
 
-std::optional<Record> RingChannel::receive_until(
+template <typename T>
+std::optional<T> BasicRingChannel<T>::receive_until(
     const std::chrono::steady_clock::time_point* deadline) {
-  Record record;
+  T item;
   for (int spin = spin_budget(); spin > 0; --spin) {
-    if (pop(record)) {
+    if (pop(item)) {
       received_.fetch_add(1, std::memory_order_relaxed);
       wake_senders();
-      return record;
+      return item;
     }
     if (drained()) return std::nullopt;
     cpu_relax();
@@ -447,12 +498,12 @@ std::optional<Record> RingChannel::receive_until(
   receive_waiters_.fetch_add(1, std::memory_order_seq_cst);
   for (;;) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (pop(record)) {
+    if (pop(item)) {
       receive_waiters_.fetch_sub(1, std::memory_order_relaxed);
       lock.unlock();
       received_.fetch_add(1, std::memory_order_relaxed);
       wake_senders();
-      return record;
+      return item;
     }
     if (drained()) break;
     if (obs::tracing_enabled()) {
@@ -464,39 +515,45 @@ std::optional<Record> RingChannel::receive_until(
     } else if (not_empty_.wait_until(lock, *deadline) ==
                std::cv_status::timeout) {
       // One last look: a push may have landed exactly at the deadline.
-      if (!pop(record)) break;
+      if (!pop(item)) break;
       receive_waiters_.fetch_sub(1, std::memory_order_relaxed);
       lock.unlock();
       received_.fetch_add(1, std::memory_order_relaxed);
       wake_senders();
-      return record;
+      return item;
     }
   }
   receive_waiters_.fetch_sub(1, std::memory_order_relaxed);
   return std::nullopt;
 }
 
-std::optional<Record> RingChannel::receive() { return receive_until(nullptr); }
-
-std::optional<Record> RingChannel::try_receive() {
-  Record record;
-  if (!pop(record)) return std::nullopt;
-  received_.fetch_add(1, std::memory_order_relaxed);
-  wake_senders();
-  return record;
+template <typename T>
+std::optional<T> BasicRingChannel<T>::receive() {
+  return receive_until(nullptr);
 }
 
-std::optional<Record> RingChannel::receive_for(
+template <typename T>
+std::optional<T> BasicRingChannel<T>::try_receive() {
+  T item;
+  if (!pop(item)) return std::nullopt;
+  received_.fetch_add(1, std::memory_order_relaxed);
+  wake_senders();
+  return item;
+}
+
+template <typename T>
+std::optional<T> BasicRingChannel<T>::receive_for(
     std::chrono::nanoseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   return receive_until(&deadline);
 }
 
-size_t RingChannel::drain_into(std::vector<Record>& out, size_t max) {
+template <typename T>
+size_t BasicRingChannel<T>::drain_into(std::vector<T>& out, size_t max) {
   size_t taken = 0;
-  Record record;
-  while (taken < max && pop(record)) {
-    out.push_back(std::move(record));
+  T item;
+  while (taken < max && pop(item)) {
+    out.push_back(std::move(item));
     ++taken;
   }
   if (taken > 0) {
@@ -506,37 +563,41 @@ size_t RingChannel::drain_into(std::vector<Record>& out, size_t max) {
   return taken;
 }
 
-void RingChannel::close() {
+template <typename T>
+void BasicRingChannel<T>::close() {
   closed_.store(true, std::memory_order_seq_cst);
   { std::lock_guard lock(park_mutex_); }
   not_full_.notify_all();
   not_empty_.notify_all();
 }
 
-std::vector<Record> RingChannel::close_and_drain() {
+template <typename T>
+std::vector<T> BasicRingChannel<T>::close_and_drain() {
   close();
   // Wait out in-flight sends: any push that read `closed == false` holds a
-  // ticket (see push_open), so once the count hits zero every record that
+  // ticket (see push_open), so once the count hits zero every item that
   // will ever enter the ring is fully published.
   while (in_flight_.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
-  std::vector<Record> remaining;
+  std::vector<T> remaining;
   remaining.reserve(size());
-  Record record;
-  while (pop(record)) {
-    remaining.push_back(std::move(record));
+  T item;
+  while (pop(item)) {
+    remaining.push_back(std::move(item));
     received_.fetch_add(1, std::memory_order_relaxed);
   }
   wake_senders();
   return remaining;
 }
 
-bool RingChannel::closed() const {
+template <typename T>
+bool BasicRingChannel<T>::closed() const {
   return closed_.load(std::memory_order_acquire);
 }
 
-size_t RingChannel::size() const {
+template <typename T>
+size_t BasicRingChannel<T>::size() const {
   // Load dequeue first so a racing pop cannot make the difference go
   // negative; claimed-but-unpublished cells count as queued.
   const uint64_t tail = dequeue_pos_.load(std::memory_order_acquire);
@@ -544,24 +605,38 @@ size_t RingChannel::size() const {
   return head >= tail ? static_cast<size_t>(head - tail) : 0;
 }
 
-uint64_t RingChannel::sent() const {
+template <typename T>
+uint64_t BasicRingChannel<T>::sent() const {
   return sent_.load(std::memory_order_acquire);
 }
 
-uint64_t RingChannel::received() const {
+template <typename T>
+uint64_t BasicRingChannel<T>::received() const {
   return received_.load(std::memory_order_acquire);
 }
 
-uint64_t RingChannel::dropped() const {
+template <typename T>
+uint64_t BasicRingChannel<T>::dropped() const {
   return dropped_.load(std::memory_order_acquire);
 }
 
-size_t RingChannel::send_waiters() const {
+template <typename T>
+size_t BasicRingChannel<T>::send_waiters() const {
   return send_waiters_.load(std::memory_order_acquire);
 }
 
-size_t RingChannel::receive_waiters() const {
+template <typename T>
+size_t BasicRingChannel<T>::receive_waiters() const {
   return receive_waiters_.load(std::memory_order_acquire);
 }
+
+template class BasicMutexChannel<Record>;
+template class BasicRingChannel<Record>;
+template class BasicMutexChannel<RecordRef>;
+template class BasicRingChannel<RecordRef>;
+template std::unique_ptr<BasicChannel<Record>> make_channel<Record>(ChannelKind,
+                                                                    size_t);
+template std::unique_ptr<BasicChannel<RecordRef>> make_channel<RecordRef>(
+    ChannelKind, size_t);
 
 }  // namespace ff::stream

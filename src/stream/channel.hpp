@@ -40,69 +40,79 @@ const char* channel_kind_name(ChannelKind kind) noexcept;
 /// Parse "mutex" / "spsc" / "mpmc"; throws ValidationError otherwise.
 ChannelKind parse_channel_kind(std::string_view name);
 
-/// A bounded channel of Records — the in-process stand-in for the
-/// event-transport middleware the paper's Fig. 5 workflow rides on (EVPath
-/// lineage). Blocking semantics with backpressure: producers wait when the
-/// channel is full, consumers wait when it is empty, and close() drains
-/// cleanly (producers may no longer send; consumers see the remaining
-/// records, then nullopt).
+/// A bounded channel — the in-process stand-in for the event-transport
+/// middleware the paper's Fig. 5 workflow rides on (EVPath lineage).
+/// Blocking semantics with backpressure: producers wait when the channel is
+/// full, consumers wait when it is empty, and close() drains cleanly
+/// (producers may no longer send; consumers see the remaining items, then
+/// nullopt).
 ///
-/// This is the abstract transport API; make_channel() picks among the
-/// mutex-based and lock-free ring implementations. All implementations
-/// preserve the same counter identity — at quiescence
-/// sent() == received() + dropped() + size().
-class Channel {
+/// This is the abstract transport API, generic over the element type:
+/// `Channel` carries Records by value, and the StreamPipeline's edges carry
+/// RecordRefs, so a record fanned out to several queues is shared rather
+/// than copied. make_channel() picks among the mutex-based and lock-free
+/// ring implementations. All implementations preserve the same counter
+/// identity — at quiescence sent() == received() + dropped() + size().
+template <typename T>
+class BasicChannel {
  public:
-  virtual ~Channel() = default;
+  virtual ~BasicChannel() = default;
 
   /// Blocking send. Returns false (without enqueueing) iff the channel was
   /// closed while waiting.
-  virtual bool send(Record record) = 0;
+  virtual bool send(T item) = 0;
 
   /// Non-blocking send: false when full or closed.
-  virtual bool try_send(Record record) = 0;
+  virtual bool try_send(T item) = 0;
+
+  /// Non-blocking bulk send: move the longest prefix of [first, first +
+  /// count) that fits into the channel, in order, and return its length —
+  /// 0 when the channel is full or closed (check closed() to tell them
+  /// apart). The ring kinds take one in-flight ticket, make one `sent`
+  /// update and one receiver wake for the whole prefix.
+  virtual size_t try_send_batch(T* first, size_t count) = 0;
 
   /// Overflow-policy send. `Block` behaves like send(); the lossy policies
-  /// never block and report how many queued records they evicted.
+  /// never block and report how many queued items they evicted.
   struct OfferResult {
     bool accepted = false;  ///< false only when the channel is closed
-    size_t evicted = 0;     ///< records dropped to admit this one
+    size_t evicted = 0;     ///< items dropped to admit this one
   };
-  virtual OfferResult offer(Record record, Overflow policy) = 0;
+  virtual OfferResult offer(T item, Overflow policy) = 0;
 
   /// Blocking receive; nullopt once the channel is closed AND drained.
-  virtual std::optional<Record> receive() = 0;
+  virtual std::optional<T> receive() = 0;
 
   /// Non-blocking receive; nullopt when currently empty (check closed()
   /// to distinguish "not yet" from "never again").
-  virtual std::optional<Record> try_receive() = 0;
+  virtual std::optional<T> try_receive() = 0;
 
   /// Blocking receive with a timeout; nullopt on timeout or once the
   /// channel is closed and drained (check closed() to distinguish).
-  virtual std::optional<Record> receive_for(std::chrono::nanoseconds timeout) = 0;
+  virtual std::optional<T> receive_for(std::chrono::nanoseconds timeout) = 0;
 
-  /// Non-blocking bulk receive: append up to `max` records to `out` and
+  /// Non-blocking bulk receive: append up to `max` items to `out` and
   /// return how many were taken. One call amortizes the synchronization
   /// cost over the whole batch — the pipeline's drain path uses this so a
-  /// strand dispatch no longer pays per record.
-  virtual size_t drain_into(std::vector<Record>& out, size_t max) = 0;
+  /// worker's dispatch does not pay per record.
+  virtual size_t drain_into(std::vector<T>& out, size_t max) = 0;
 
   virtual void close() = 0;
   virtual bool closed() const = 0;
 
-  /// close() and take every still-queued record (counted as received),
+  /// close() and take every still-queued item (counted as received),
   /// waiting out any in-flight send. Used by pipeline shutdown to drain
   /// without a consumer race.
-  virtual std::vector<Record> close_and_drain() = 0;
+  virtual std::vector<T> close_and_drain() = 0;
 
   virtual size_t size() const = 0;
   /// Actual bound (ring kinds round the requested capacity up to a power
   /// of two).
   virtual size_t capacity() const noexcept = 0;
 
-  /// Lifetime counters (monotonic). `sent` counts accepted records,
-  /// `received` records handed to consumers (incl. close_and_drain),
-  /// `dropped` records evicted by lossy offer() policies — at quiescence
+  /// Lifetime counters (monotonic). `sent` counts accepted items,
+  /// `received` items handed to consumers (incl. close_and_drain),
+  /// `dropped` items evicted by lossy offer() policies — at quiescence
   /// sent() == received() + dropped() + size().
   virtual uint64_t sent() const = 0;
   virtual uint64_t received() const = 0;
@@ -118,28 +128,37 @@ class Channel {
   virtual ChannelKind kind() const noexcept = 0;
 };
 
+/// The Record channel: the transport API the channel benches and tests
+/// measure.
+using Channel = BasicChannel<Record>;
+
 /// Construct a channel of the given kind. Throws ValidationError when
 /// capacity is 0 (every kind) or absurdly large (ring kinds, which allocate
 /// their cells up front).
-std::unique_ptr<Channel> make_channel(ChannelKind kind, size_t capacity);
+template <typename T = Record>
+std::unique_ptr<BasicChannel<T>> make_channel(ChannelKind kind, size_t capacity);
 
 /// The original mutex+condvar bounded MPMC deque. Any capacity, strict
 /// FIFO, simplest possible reasoning — kept as the reference
 /// implementation the lock-free rings are differential-tested against.
-class MutexChannel final : public Channel {
+template <typename T>
+class BasicMutexChannel final : public BasicChannel<T> {
  public:
-  explicit MutexChannel(size_t capacity);
+  using OfferResult = typename BasicChannel<T>::OfferResult;
 
-  bool send(Record record) override;
-  bool try_send(Record record) override;
-  OfferResult offer(Record record, Overflow policy) override;
-  std::optional<Record> receive() override;
-  std::optional<Record> try_receive() override;
-  std::optional<Record> receive_for(std::chrono::nanoseconds timeout) override;
-  size_t drain_into(std::vector<Record>& out, size_t max) override;
+  explicit BasicMutexChannel(size_t capacity);
+
+  bool send(T item) override;
+  bool try_send(T item) override;
+  size_t try_send_batch(T* first, size_t count) override;
+  OfferResult offer(T item, Overflow policy) override;
+  std::optional<T> receive() override;
+  std::optional<T> try_receive() override;
+  std::optional<T> receive_for(std::chrono::nanoseconds timeout) override;
+  size_t drain_into(std::vector<T>& out, size_t max) override;
   void close() override;
   bool closed() const override;
-  std::vector<Record> close_and_drain() override;
+  std::vector<T> close_and_drain() override;
   size_t size() const override;
   size_t capacity() const noexcept override { return capacity_; }
   uint64_t sent() const override;
@@ -154,7 +173,7 @@ class MutexChannel final : public Channel {
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::deque<Record> queue_;
+  std::deque<T> queue_;
   bool closed_ = false;
   uint64_t sent_ = 0;
   uint64_t received_ = 0;
@@ -168,8 +187,8 @@ class MutexChannel final : public Channel {
 /// encodes whose turn the cell is: a producer may claim cell `pos` when
 /// `seq == pos`, publishes with `seq = pos + 1`; a consumer may take it
 /// when `seq == pos + 1` and recycles it with `seq = pos + capacity`. The
-/// record payload itself is transferred by the release-store/acquire-load
-/// pair on the cell sequence — no fences are needed for data safety.
+/// payload itself is transferred by the release-store/acquire-load pair on
+/// the cell sequence — no fences are needed for data safety.
 ///
 /// The dequeue side is always multi-consumer (CAS on dequeue_pos) even for
 /// the SPSC kind, because the lossy overflow policies make the *producer*
@@ -188,21 +207,24 @@ class MutexChannel final : public Channel {
 /// (seq_cst RMW) before checking `closed`, so `close_and_drain` can set
 /// `closed`, wait for the ticket count to hit zero, and then drain with
 /// the guarantee that no concurrent push is still materializing.
-class RingChannel final : public Channel {
+template <typename T>
+class BasicRingChannel final : public BasicChannel<T> {
  public:
-  RingChannel(size_t capacity, ChannelKind kind);
-  ~RingChannel() override;
+  using OfferResult = typename BasicChannel<T>::OfferResult;
 
-  bool send(Record record) override;
-  bool try_send(Record record) override;
-  OfferResult offer(Record record, Overflow policy) override;
-  std::optional<Record> receive() override;
-  std::optional<Record> try_receive() override;
-  std::optional<Record> receive_for(std::chrono::nanoseconds timeout) override;
-  size_t drain_into(std::vector<Record>& out, size_t max) override;
+  BasicRingChannel(size_t capacity, ChannelKind kind);
+
+  bool send(T item) override;
+  bool try_send(T item) override;
+  size_t try_send_batch(T* first, size_t count) override;
+  OfferResult offer(T item, Overflow policy) override;
+  std::optional<T> receive() override;
+  std::optional<T> try_receive() override;
+  std::optional<T> receive_for(std::chrono::nanoseconds timeout) override;
+  size_t drain_into(std::vector<T>& out, size_t max) override;
   void close() override;
   bool closed() const override;
-  std::vector<Record> close_and_drain() override;
+  std::vector<T> close_and_drain() override;
   size_t size() const override;
   size_t capacity() const noexcept override { return capacity_; }
   uint64_t sent() const override;
@@ -215,19 +237,19 @@ class RingChannel final : public Channel {
  private:
   struct Cell {
     std::atomic<uint64_t> sequence{0};
-    Record record;
+    T item;
   };
 
-  bool push(Record& record);  ///< non-blocking; consumes `record` on success
-  bool pop(Record& record);   ///< non-blocking; no counter updates
-  /// push() wrapped in the in-flight ticket + closed check. Returns true
-  /// when the record entered the ring; `rejected` reports a closed channel
-  /// (as opposed to a full one).
-  bool push_open(Record& record, bool& rejected);
+  bool push(T& item);  ///< non-blocking; consumes `item` on success
+  bool pop(T& item);   ///< non-blocking; no counter updates
+  /// Pushes the longest prefix of [first, first + count) that fits, inside
+  /// one in-flight ticket + closed check. `rejected` reports a closed
+  /// channel (as opposed to a full one).
+  size_t push_open(T* first, size_t count, bool& rejected);
   bool drained() const;  ///< closed, empty, and no send mid-publish
   void wake_senders();
   void wake_receivers();
-  std::optional<Record> receive_until(
+  std::optional<T> receive_until(
       const std::chrono::steady_clock::time_point* deadline);
 
   const ChannelKind kind_;
@@ -255,5 +277,15 @@ class RingChannel final : public Channel {
   std::atomic<size_t> send_waiters_{0};
   std::atomic<size_t> receive_waiters_{0};
 };
+
+// The two element types the repo uses, instantiated once in channel.cpp.
+extern template class BasicMutexChannel<Record>;
+extern template class BasicRingChannel<Record>;
+extern template class BasicMutexChannel<RecordRef>;
+extern template class BasicRingChannel<RecordRef>;
+extern template std::unique_ptr<BasicChannel<Record>> make_channel<Record>(
+    ChannelKind, size_t);
+extern template std::unique_ptr<BasicChannel<RecordRef>> make_channel<RecordRef>(
+    ChannelKind, size_t);
 
 }  // namespace ff::stream

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -44,6 +45,11 @@ struct Record {
 
   bool operator==(const Record&) const = default;
 };
+
+/// A published record as the plane carries it: copied once at publish()
+/// and then shared, immutable, by every queue, policy window and edge it
+/// fans out to. The last reference frees it.
+using RecordRef = std::shared_ptr<const Record>;
 
 /// Validate a record against a schema (arity and types). Throws
 /// ValidationError naming the offending field.

@@ -1,6 +1,8 @@
 #include "stream/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -19,10 +21,19 @@ Overflow parse_overflow(const std::string& name) {
 
 }  // namespace
 
-StreamPipeline::StreamPipeline(size_t workers)
-    : pool_(std::make_unique<ThreadPool>(workers)) {
+thread_local StreamPipeline::Worker* StreamPipeline::this_thread_worker_ = nullptr;
+
+StreamPipeline::StreamPipeline(size_t workers) {
+  workers_.resize(std::max<size_t>(1, workers));
+  for (auto& worker : workers_) {
+    worker = std::make_unique<Worker>();
+    worker->plane = this;
+  }
+  for (auto& worker : workers_) {
+    worker->thread = std::thread([this, w = worker.get()] { run(*w); });
+  }
   obs::trace_instant("stream", "stream.pipeline.start",
-                     {{"workers", pool_->worker_count()}});
+                     {{"workers", workers_.size()}});
 }
 
 StreamPipeline::~StreamPipeline() { shutdown(); }
@@ -35,7 +46,7 @@ void StreamPipeline::install_queue(const std::string& queue,
   }
   auto pipe = std::make_shared<PipeQueue>();
   pipe->name = queue;
-  pipe->channel = make_channel(options.channel, options.capacity);
+  pipe->channel = make_channel<RecordRef>(options.channel, options.capacity);
   pipe->overflow = options.overflow;
   pipe->batch = options.batch;
   pipe->format = options.format;
@@ -47,15 +58,23 @@ void StreamPipeline::install_queue(const std::string& queue,
                             "' already exists");
     }
     queues_.emplace(queue, pipe);
+    // Pin to the worker owning the fewest queues (the first such on ties).
+    pipe->owner = std::min_element(workers_.begin(), workers_.end(),
+                                   [this](const auto& a, const auto& b) {
+                                     return owned_by(*a)->size() <
+                                            owned_by(*b)->size();
+                                   })
+                      ->get();
   }
+  assign(*pipe->owner, pipe, true);
   // The sink runs on publisher threads under the queue's scheduler lock, so
-  // releases enter the channel in policy order. Attached atomically with the
-  // install: no release can bypass the channel.
-  scheduler_.install_queue(queue, std::move(policy),
-                           [this, pipe](const std::string&, Record record) {
-                             offer(*pipe, std::move(record));
-                             schedule_drain(pipe);
-                           });
+  // releases enter the channel in policy order and one producer at a time.
+  // Attached atomically with the install: no release can bypass the channel.
+  scheduler_.install_queue(
+      queue, std::move(policy),
+      [this, pipe](const std::string&, std::vector<RecordRef>& released) {
+        offer(pipe, released);
+      });
   obs::trace_instant("stream", "stream.pipeline.attach",
                      {{"queue", queue},
                       {"capacity", options.capacity},
@@ -74,13 +93,14 @@ void StreamPipeline::remove_queue(const std::string& queue) {
     pipe = it->second;
     queues_.erase(it);
   }
-  // Stop new releases, then deliver what the channel still holds. In-flight
-  // publishes still hold the PipeQueue alive through the sink's shared_ptr,
-  // so this never races into a use-after-free; their releases after close
-  // are counted as rejected.
+  // Stop new releases; the owner then delivers what the channel still holds
+  // and forgets the queue. In-flight publishes still hold the PipeQueue
+  // alive through the sink's shared_ptr, so this never races into a
+  // use-after-free; their releases after close are counted as rejected.
   scheduler_.remove_queue(queue);
+  pipe->removed.store(true, std::memory_order_release);
   pipe->channel->close();
-  schedule_drain(pipe);
+  wake(*pipe->owner);
 }
 
 bool StreamPipeline::has_queue(const std::string& queue) const noexcept {
@@ -95,6 +115,7 @@ void StreamPipeline::subscribe(DataScheduler::Consumer consumer) {
       std::make_shared<std::vector<DataScheduler::Consumer>>(*consumers_);
   next->push_back(std::move(consumer));
   consumers_ = std::move(next);
+  config_version_.fetch_add(1, std::memory_order_release);
 }
 
 void StreamPipeline::register_schema(const std::string& queue,
@@ -105,6 +126,7 @@ void StreamPipeline::register_schema(const std::string& queue,
     throw NotFoundError("StreamPipeline: no queue '" + queue + "'");
   }
   it->second->schema = std::make_shared<const StreamSchema>(std::move(schema));
+  config_version_.fetch_add(1, std::memory_order_release);
 }
 
 std::shared_ptr<const StreamSchema> StreamPipeline::schema_of(
@@ -131,102 +153,204 @@ void StreamPipeline::set_wire_sink(const std::string& queue, WireSink sink) {
                      " codec marshals against it)");
   }
   it->second->wire_sink = std::move(sink);
+  config_version_.fetch_add(1, std::memory_order_release);
   obs::trace_instant("stream", "stream.queue.wire",
                      {{"queue", queue},
                       {"format", wire_format_name(it->second->format)}});
 }
 
-void StreamPipeline::offer(PipeQueue& queue, Record record) {
-  queue.released.fetch_add(1, std::memory_order_relaxed);
-  const Channel::OfferResult result =
-      queue.channel->offer(std::move(record), queue.overflow);
-  if (!result.accepted) {
-    queue.rejected.fetch_add(1, std::memory_order_relaxed);
-    return;
+void StreamPipeline::offer(const std::shared_ptr<PipeQueue>& queue,
+                           std::vector<RecordRef>& released) {
+  PipeQueue& pipe = *queue;
+  const size_t count = released.size();
+  pipe.released.fetch_add(count, std::memory_order_relaxed);
+  size_t accepted = 0;
+  if (pipe.overflow == Overflow::Block) {
+    accepted = push_blocking(queue, released.data(), count);
+  } else {
+    // Lossy edges never block: each record is offered in turn, evicting
+    // exactly as a per-record publish would.
+    size_t evicted = 0;
+    for (RecordRef& record : released) {
+      const auto result = pipe.channel->offer(std::move(record), pipe.overflow);
+      if (!result.accepted) break;
+      ++accepted;
+      evicted += result.evicted;
+    }
+    wake(*pipe.owner);
+    if (evicted > 0) {
+      obs::trace_instant("stream", "stream.pipeline.drop",
+                         {{"queue", pipe.name}, {"count", evicted}});
+    }
   }
-  if (result.evicted > 0) {
-    obs::trace_instant("stream", "stream.pipeline.drop",
-                       {{"queue", queue.name}, {"count", result.evicted}});
+  if (accepted < count) {
+    pipe.rejected.fetch_add(count - accepted, std::memory_order_relaxed);
   }
 }
 
-void StreamPipeline::schedule_drain(const std::shared_ptr<PipeQueue>& queue) {
-  // Strand dispatch: at most one drain task per queue is queued or running,
-  // so per-queue delivery stays ordered for any worker count.
-  //
-  // The fence orders the caller's (possibly relaxed) channel push before
-  // the seq_cst exchange. Together with the store(false)+fence+size()
-  // re-check in drain() this closes the handoff race for the lock-free
-  // channels, which — unlike the mutex channel — provide no incidental
-  // synchronization between a push and a subsequent size() probe: either
-  // our exchange sees false (we schedule the drain ourselves) or it
-  // happened before the running drain's store(false), in which case that
-  // drain's re-check is fenced to observe our push. See DESIGN.md §3.5.
+size_t StreamPipeline::push_blocking(const std::shared_ptr<PipeQueue>& queue,
+                                     RecordRef* records, size_t count) {
+  BasicChannel<RecordRef>& channel = *queue->channel;
+  Worker* const self = this_thread_worker_;
+  const bool on_plane = self != nullptr && self->plane == this;
+  size_t sent = 0;
+  for (;;) {
+    if (sent < count) sent += channel.try_send_batch(records + sent, count - sent);
+    // Wake the owner before blocking: whatever this producer waits on
+    // below, the worker that empties the edge is running. The scheduler's
+    // per-queue lock admits one producer per queue, so an edge with room
+    // cannot fill under us between the push and this point.
+    wake(*queue->owner);
+    if (sent == count || channel.closed()) return sent;
+    if (on_plane) {
+      // A consumer publishing from a plane worker: the edge's owner may be
+      // this very thread, or be waiting on one of its queues. Drain what
+      // this worker owns instead of parking; a queue mid-delivery is
+      // skipped, so per-queue order holds.
+      bool progressed = false;
+      const auto owned = owned_by(*self);
+      for (const auto& mine : *owned) {
+        if (!mine->delivering) progressed |= drain(*mine);
+      }
+      if (!progressed) std::this_thread::yield();
+    } else if (channel.send(std::move(records[sent]))) {
+      ++sent;
+    } else {
+      return sent;  // closed while waiting
+    }
+  }
+}
+
+void StreamPipeline::wake(Worker& worker) {
+  // Eventcount (waker side): the caller's push, then the fence, then the
+  // waiter count. Pairs with the fence in run() after a worker registers,
+  // so either that worker's re-check sees the push or we see it waiting.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (queue->scheduled.exchange(true, std::memory_order_seq_cst)) return;
-  pool_->post([this, queue] { drain(queue); });
+  if (worker.waiters.load(std::memory_order_relaxed) == 0) return;
+  {
+    std::lock_guard lock(worker.mutex);
+    worker.epoch.fetch_add(1, std::memory_order_relaxed);
+  }
+  worker.work_ready.notify_one();
 }
 
-void StreamPipeline::deliver(PipeQueue& queue, std::vector<Record>& batch,
-                             const std::vector<DataScheduler::Consumer>& consumers,
-                             const std::shared_ptr<const StreamSchema>& schema,
-                             const WireSink& wire_sink) {
-  queue.delivered.fetch_add(batch.size(), std::memory_order_relaxed);
-  for (const Record& record : batch) {
-    for (const auto& consumer : consumers) consumer(queue.name, record);
+std::shared_ptr<const StreamPipeline::QueueList> StreamPipeline::owned_by(
+    Worker& worker) const {
+  std::lock_guard lock(worker.mutex);
+  return worker.owned;
+}
+
+void StreamPipeline::assign(Worker& worker,
+                            const std::shared_ptr<PipeQueue>& queue, bool add) {
+  std::lock_guard lock(worker.mutex);
+  auto next = std::make_shared<QueueList>(*worker.owned);
+  if (add) {
+    next->push_back(queue);
+  } else {
+    next->erase(std::remove(next->begin(), next->end(), queue), next->end());
   }
-  if (wire_sink && schema) {
+  worker.owned = std::move(next);
+}
+
+void StreamPipeline::run(Worker& worker) {
+  this_thread_worker_ = &worker;
+  for (;;) {
+    bool progressed = false;
+    const auto owned = owned_by(worker);
+    for (const auto& queue : *owned) {
+      if (queue->removed.load(std::memory_order_acquire)) {
+        retire(worker, queue);
+        progressed = true;
+      } else {
+        progressed |= drain(*queue);
+      }
+    }
+    if (progressed) continue;
+    // Eventcount (waiter side): register, fence, re-check, and only then
+    // sleep until a wake moves the epoch.
+    const uint64_t epoch = worker.epoch.load(std::memory_order_relaxed);
+    worker.waiters.fetch_add(1, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    bool pending = false;
+    const auto fresh = owned_by(worker);  // an install may have added one
+    for (const auto& queue : *fresh) {
+      pending |= queue->channel->size() > 0 ||
+                 queue->removed.load(std::memory_order_acquire);
+    }
+    std::unique_lock lock(worker.mutex);
+    if (!pending && !worker.stopping) {
+      worker.work_ready.wait(lock, [&] {
+        return worker.epoch.load(std::memory_order_relaxed) != epoch ||
+               worker.stopping;
+      });
+    }
+    worker.waiters.fetch_sub(1, std::memory_order_relaxed);
+    if (worker.stopping && !pending) return;
+  }
+}
+
+bool StreamPipeline::drain(PipeQueue& queue) {
+  // One bulk pop per dispatch into the queue's reused buffer: the channel
+  // synchronization is paid once per batch instead of once per record.
+  const size_t taken = queue.channel->drain_into(queue.popped, queue.batch);
+  if (taken == 0) return false;
+  deliver(queue, queue.popped);
+  queue.popped.clear();
+  if (obs::tracing_enabled()) {
+    obs::trace_instant("stream", "stream.queue.drain_batch",
+                       {{"queue", queue.name}, {"count", taken}});
+    obs::trace_counter("stream", "stream.queue.depth",
+                       static_cast<double>(queue.channel->size()),
+                       {{"queue", queue.name}});
+  }
+  return true;
+}
+
+void StreamPipeline::retire(Worker& worker,
+                            const std::shared_ptr<PipeQueue>& queue) {
+  // close_and_drain waits out pushes that passed the closed check, so
+  // nothing can enter the channel after this take.
+  const std::vector<RecordRef> leftover = queue->channel->close_and_drain();
+  if (!leftover.empty()) deliver(*queue, leftover);
+  assign(worker, queue, false);
+}
+
+void StreamPipeline::deliver(PipeQueue& queue,
+                             const std::vector<RecordRef>& batch) {
+  // Re-read the consumer list and wire tap only when one of them changed.
+  // Read after the pop, so a subscription made before these records were
+  // published is seen.
+  DeliveryView& view = queue.view;
+  if (view.version != config_version_.load(std::memory_order_acquire)) {
+    std::lock_guard lock(mutex_);
+    view.version = config_version_.load(std::memory_order_relaxed);
+    view.consumers = consumers_;
+    view.schema = queue.schema;
+    view.wire_sink = queue.wire_sink;
+  }
+  queue.delivering = true;
+  for (const RecordRef& record : batch) {
+    for (const auto& consumer : *view.consumers) consumer(queue.name, *record);
+  }
+  if (view.wire_sink && view.schema) {
     // Marshal the whole batch as one self-contained chunk (header +
     // records) with the queue's configured codec.
     std::vector<uint8_t> chunk;
     if (queue.format == WireFormat::Binary) {
-      FrameEncoder encoder(*schema);
-      for (const Record& record : batch) encoder.append(record);
+      FrameEncoder encoder(*view.schema);
+      for (const RecordRef& record : batch) encoder.append(*record);
       chunk = encoder.bytes();
     } else {
-      Encoder encoder(*schema);
-      for (const Record& record : batch) encoder.append(record);
+      Encoder encoder(*view.schema);
+      for (const RecordRef& record : batch) encoder.append(*record);
       chunk = encoder.bytes();
     }
-    wire_sink(queue.name, std::move(chunk));
+    view.wire_sink(queue.name, std::move(chunk));
   }
-}
-
-void StreamPipeline::drain(const std::shared_ptr<PipeQueue>& queue) {
-  std::shared_ptr<const std::vector<DataScheduler::Consumer>> consumers;
-  std::shared_ptr<const StreamSchema> schema;
-  WireSink wire_sink;
-  {
-    std::lock_guard lock(mutex_);
-    consumers = consumers_;
-    schema = queue->schema;
-    wire_sink = queue->wire_sink;
-  }
-  // One bulk pop per dispatch: the channel synchronization and the pool
-  // handoff are paid once per batch instead of once per record. Per-queue
-  // order is untouched — the strand serializes drains and drain_into is
-  // FIFO.
-  std::vector<Record> batch;
-  batch.reserve(std::min(queue->batch, queue->channel->size()));
-  const size_t taken = queue->channel->drain_into(batch, queue->batch);
-  if (taken > 0) {
-    deliver(*queue, batch, *consumers, schema, wire_sink);
-    if (obs::tracing_enabled()) {
-      obs::trace_instant("stream", "stream.queue.drain_batch",
-                         {{"queue", queue->name}, {"count", taken}});
-    }
-  }
-  if (obs::tracing_enabled()) {
-    obs::trace_counter("stream", "stream.queue.depth",
-                       static_cast<double>(queue->channel->size()),
-                       {{"queue", queue->name}});
-  }
-  queue->scheduled.store(false, std::memory_order_seq_cst);
-  // Re-arm if records remain (or raced in after the bulk pop). A producer
-  // that saw scheduled==true before the store above relies on this fenced
-  // re-check to get its record drained (see schedule_drain).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (queue->channel->size() > 0) schedule_drain(queue);
+  queue.delivering = false;
+  // Counted once the consumers returned, so wait_quiescent() sees a batch
+  // as done only after its deliveries.
+  queue.delivered.fetch_add(batch.size(), std::memory_order_release);
 }
 
 std::vector<std::shared_ptr<StreamPipeline::PipeQueue>>
@@ -239,15 +363,19 @@ StreamPipeline::snapshot() const {
 }
 
 void StreamPipeline::wait_quiescent() {
-  while (true) {
-    pool_->wait_idle();
+  // Every record a queue released is delivered, dropped or rejected. With
+  // producers paused, only the workers still move these counters.
+  const auto settled = [](const PipeQueue& queue) {
+    return queue.released.load(std::memory_order_acquire) ==
+           queue.delivered.load(std::memory_order_acquire) +
+               queue.rejected.load(std::memory_order_acquire) +
+               queue.channel->dropped();
+  };
+  for (;;) {
     bool quiet = true;
-    for (const auto& pipe : snapshot()) {
-      if (pipe->channel->size() > 0 ||
-          pipe->scheduled.load(std::memory_order_acquire)) {
-        quiet = false;
-        break;
-      }
+    for (const auto& worker : workers_) {
+      const auto owned = owned_by(*worker);
+      for (const auto& queue : *owned) quiet = quiet && settled(*queue);
     }
     if (quiet) return;
     std::this_thread::sleep_for(std::chrono::microseconds(50));
@@ -260,37 +388,33 @@ void StreamPipeline::shutdown() {
     if (stopped_) return;
     stopped_ = true;
   }
-  const auto queues = snapshot();
   // Close first: blocked producers wake (their offers are rejected and
-  // counted), and nothing new enters the channels.
-  for (const auto& pipe : queues) pipe->channel->close();
-  // Drain what was accepted through the normal ordered path.
-  for (const auto& pipe : queues) schedule_drain(pipe);
-  pool_->wait_idle();
-  // A publisher preempted between its accepted offer and schedule_drain can
-  // in principle leave records behind with no drain scheduled; deliver them
-  // inline (the strand is idle — wait_idle saw it finish).
-  for (const auto& pipe : queues) {
-    std::vector<Record> leftover = pipe->channel->close_and_drain();
-    if (leftover.empty()) continue;
-    std::shared_ptr<const std::vector<DataScheduler::Consumer>> consumers;
-    std::shared_ptr<const StreamSchema> schema;
-    WireSink wire_sink;
+  // counted), and nothing new enters the channels. Each worker then drains
+  // its queues through the normal ordered path and exits once they are
+  // empty.
+  for (const auto& pipe : snapshot()) pipe->channel->close();
+  for (const auto& worker : workers_) {
     {
-      std::lock_guard lock(mutex_);
-      consumers = consumers_;
-      schema = pipe->schema;
-      wire_sink = pipe->wire_sink;
+      std::lock_guard lock(worker->mutex);
+      worker->stopping = true;
     }
-    deliver(*pipe, leftover, *consumers, schema, wire_sink);
+    worker->work_ready.notify_all();
   }
-  pool_->wait_idle();  // inline delivery may have re-armed strands via consumers
+  for (const auto& worker : workers_) worker->thread.join();
+  // A publisher preempted between its closed check and its push can land
+  // records after its queue's worker saw the channel empty; with the
+  // workers joined, deliver them here, in order.
+  for (const auto& worker : workers_) {
+    const auto owned = owned_by(*worker);
+    for (const auto& queue : *owned) {
+      const std::vector<RecordRef> leftover = queue->channel->close_and_drain();
+      if (!leftover.empty()) deliver(*queue, leftover);
+    }
+  }
   const Totals final_totals = totals();
   obs::trace_instant("stream", "stream.pipeline.stop",
                      {{"delivered", final_totals.delivered},
                       {"dropped", final_totals.dropped}});
-  // The pool (and its worker threads) is joined by the destructor — after
-  // this point it only ever runs no-op drains.
 }
 
 std::shared_ptr<StreamPipeline::PipeQueue> StreamPipeline::find_queue(

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -13,7 +14,6 @@
 #include "stream/channel.hpp"
 #include "stream/marshal.hpp"
 #include "stream/scheduler.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ff::stream {
 
@@ -21,10 +21,10 @@ namespace ff::stream {
 struct QueueOptions {
   size_t capacity = 256;                ///< bounded channel size
   Overflow overflow = Overflow::Block;  ///< producer behaviour when full
-  /// Records one strand dispatch delivers before yielding its worker. The
-  /// whole batch is taken from the channel in one bulk pop, so raising
-  /// this amortizes the pool handoff; per-queue delivery order is
-  /// unaffected (the strand still serializes drains).
+  /// Records one dispatch delivers before the queue's worker moves on to
+  /// its next queue. The whole batch is taken from the channel in one bulk
+  /// pop, so raising this amortizes the channel synchronization; per-queue
+  /// delivery order is unaffected (one thread drains each queue).
   size_t batch = 64;
   /// Channel implementation. The pipeline's per-queue scheduler lock
   /// serializes producers, so the lock-free single-producer ring is safe
@@ -37,34 +37,45 @@ struct QueueOptions {
 
 /// The Fig. 5 data plane with real threads: a thread-safe DataScheduler
 /// whose virtual queues each drain through their own bounded Channel into
-/// ordered consumer dispatch on a shared util::ThreadPool.
+/// ordered consumer dispatch on the worker that owns the queue.
 ///
 ///   instrument threads ──publish()──▶ DataScheduler (policies, per-queue
-///   lock) ──releases──▶ per-queue bounded Channel ──▶ strand drain task on
-///   the worker pool ──▶ subscribed consumers
+///   lock) ──releases──▶ per-queue bounded Channel ──▶ the queue's owning
+///   worker ──▶ subscribed consumers
+///
+/// Each queue is pinned to one worker at install (the one owning the fewest
+/// queues). A worker drains its queues in turn, up to `batch` records each,
+/// and sleeps on an eventcount only when all of them are empty. A published
+/// record is copied once and shared: every queue's channel carries
+/// RecordRefs to the same immutable record. Each publish call hands a queue
+/// its releases as one batch — one bulk push into the channel and one wake
+/// of its worker — not one handoff per record.
 ///
 /// Guarantees:
 ///   - *Per-queue order.* Consumers observe one queue's releases in exactly
 ///     the order its policy released them: releases enter the channel under
-///     the queue's scheduler lock, the channel is FIFO, and at most one
-///     drain task per queue runs at a time (a strand), whatever the worker
-///     count. Release order is therefore bit-identical across 1/2/4/8
-///     workers.
+///     the queue's scheduler lock, the channel is FIFO, and only the queue's
+///     owning worker takes records out of it. Release order is therefore
+///     bit-identical across 1/2/4/8 workers.
 ///   - *Punctuation order.* control()/punctuate() run the policy under the
 ///     same per-queue lock as publish(), so a queue observes a control
 ///     message strictly after every record published causally before it
 ///     (same-thread program order; cross-thread via the lock).
 ///   - *Backpressure.* With Overflow::Block a full channel blocks the
 ///     publisher until workers catch up — end-to-end flow control, zero
-///     drops. The lossy policies never block and count evictions instead.
-///   - *Clean shutdown.* shutdown() closes every channel, drains what they
-///     still hold through the normal consumer path, waits for the pool to
-///     go idle, and only then joins the workers. Nothing accepted by a
-///     channel is lost.
+///     drops. The queue's worker is woken before the publisher blocks. A
+///     publisher that is itself a consumer on a plane worker never parks:
+///     it drains the other queues its worker owns until the edge has room,
+///     since the edge's owner may be its own thread. The lossy policies
+///     never block and count evictions instead.
+///   - *Clean shutdown.* shutdown() closes every channel, lets each worker
+///     drain what its queues still hold through the normal consumer path,
+///     joins the workers, and delivers any record a racing publisher
+///     pushed after that. Nothing accepted by a channel is lost.
 ///
-/// Consumers run on pool workers; a consumer may publish() back into the
-/// pipeline (different queue) or install/remove queues, but must not call
-/// shutdown() from inside a delivery.
+/// Consumers run on the plane's workers; a consumer may publish() back into
+/// the pipeline (different queue) or install/remove queues, but must not
+/// call shutdown() from inside a delivery.
 class StreamPipeline {
  public:
   explicit StreamPipeline(size_t workers);
@@ -73,7 +84,7 @@ class StreamPipeline {
   StreamPipeline(const StreamPipeline&) = delete;
   StreamPipeline& operator=(const StreamPipeline&) = delete;
 
-  size_t worker_count() const noexcept { return pool_->worker_count(); }
+  size_t worker_count() const noexcept { return workers_.size(); }
 
   /// Install a virtual queue whose releases ride the concurrent plane.
   void install_queue(const std::string& queue,
@@ -124,9 +135,9 @@ class StreamPipeline {
   /// already accepted is delivered; workers join. Idempotent.
   void shutdown();
 
-  /// Block until every channel is empty and no drain task is running —
-  /// i.e. every record released so far has reached the consumers. Safe to
-  /// call while producers are paused (not racing new publishes).
+  /// Block until every record released so far has reached the consumers
+  /// (or was dropped). Safe to call while producers are paused (not racing
+  /// new publishes).
   void wait_quiescent();
 
   struct QueueReport {
@@ -148,37 +159,88 @@ class StreamPipeline {
   Totals totals() const;
 
  private:
-  struct PipeQueue {
-    std::string name;
-    std::unique_ptr<Channel> channel;
-    Overflow overflow = Overflow::Block;
-    size_t batch = 64;                     ///< records per strand dispatch
-    WireFormat format = WireFormat::SelfDescribing;
-    std::atomic<uint64_t> released{0};
-    std::atomic<uint64_t> delivered{0};
-    std::atomic<uint64_t> rejected{0};     ///< offers refused (closed channel)
-    std::atomic<bool> scheduled{false};    ///< a drain task is queued/running
-    // Wire-tap state; guarded by the pipeline mutex (read once per drain).
+  /// What a delivery needs besides the records: a copy of the consumer
+  /// list and the queue's wire tap, as of `version`.
+  struct DeliveryView {
+    uint64_t version = 0;  ///< config_version_ this copy was taken at
+    std::shared_ptr<const std::vector<DataScheduler::Consumer>> consumers;
     std::shared_ptr<const StreamSchema> schema;
     WireSink wire_sink;
   };
 
-  void offer(PipeQueue& queue, Record record);
-  void schedule_drain(const std::shared_ptr<PipeQueue>& queue);
-  void drain(const std::shared_ptr<PipeQueue>& queue);
-  void deliver(PipeQueue& queue, std::vector<Record>& batch,
-               const std::vector<DataScheduler::Consumer>& consumers,
-               const std::shared_ptr<const StreamSchema>& schema,
-               const WireSink& wire_sink);
+  struct Worker;
+
+  struct PipeQueue {
+    std::string name;
+    std::unique_ptr<BasicChannel<RecordRef>> channel;
+    Overflow overflow = Overflow::Block;
+    size_t batch = 64;                     ///< records per dispatch
+    WireFormat format = WireFormat::SelfDescribing;
+    Worker* owner = nullptr;               ///< the one thread that drains it
+    std::atomic<uint64_t> released{0};
+    std::atomic<uint64_t> delivered{0};    ///< counted once consumers return
+    std::atomic<uint64_t> rejected{0};     ///< offers refused (closed channel)
+    std::atomic<bool> removed{false};      ///< owner retires it when set
+    // Wire-tap state; guarded by the pipeline mutex.
+    std::shared_ptr<const StreamSchema> schema;
+    WireSink wire_sink;
+    // The owner's own state: the view it delivers with, its pop buffer
+    // (reused across dispatches), and whether a delivery is under way (a
+    // consumer publishing from inside it must not re-enter the queue).
+    DeliveryView view;
+    std::vector<RecordRef> popped;
+    bool delivering = false;
+  };
+
+  using QueueList = std::vector<std::shared_ptr<PipeQueue>>;
+
+  /// A plane thread and the queues pinned to it. It parks on an eventcount
+  /// (`epoch`, `waiters`) only after finding all of its queues empty.
+  struct Worker {
+    const StreamPipeline* plane = nullptr;
+    std::mutex mutex;  // guards owned, stopping, and the park
+    std::condition_variable work_ready;
+    std::shared_ptr<const QueueList> owned = std::make_shared<QueueList>();
+    bool stopping = false;
+    std::atomic<uint64_t> epoch{0};
+    std::atomic<uint32_t> waiters{0};
+    std::thread thread;
+  };
+
+  /// The plane worker the calling thread is, if any.
+  static thread_local Worker* this_thread_worker_;
+
+  void offer(const std::shared_ptr<PipeQueue>& queue,
+             std::vector<RecordRef>& released);
+  size_t push_blocking(const std::shared_ptr<PipeQueue>& queue,
+                       RecordRef* records, size_t count);
+  /// Wake `worker` if it is parked (or about to park).
+  void wake(Worker& worker);
+  void run(Worker& worker);
+  std::shared_ptr<const QueueList> owned_by(Worker& worker) const;
+  /// Move `queue` into or out of `worker`'s list.
+  void assign(Worker& worker, const std::shared_ptr<PipeQueue>& queue, bool add);
+  /// One dispatch of `queue` on its owner: pop up to `batch`, deliver.
+  /// Returns whether it delivered anything.
+  bool drain(PipeQueue& queue);
+  /// The owner's last pass over a removed queue: take what is left, once
+  /// no push is in flight, deliver it, and drop the queue from its list.
+  void retire(Worker& worker, const std::shared_ptr<PipeQueue>& queue);
+  /// Hands `batch` to the consumers and the wire tap, on the queue's owner
+  /// (or on shutdown's caller once the workers have joined).
+  void deliver(PipeQueue& queue, const std::vector<RecordRef>& batch);
   std::shared_ptr<PipeQueue> find_queue(const std::string& queue) const;
   std::vector<std::shared_ptr<PipeQueue>> snapshot() const;
 
   DataScheduler scheduler_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::vector<std::unique_ptr<Worker>> workers_;
   mutable std::mutex mutex_;  // guards queues_ registry + stopped_
   std::map<std::string, std::shared_ptr<PipeQueue>> queues_;
   std::shared_ptr<const std::vector<DataScheduler::Consumer>> consumers_ =
       std::make_shared<std::vector<DataScheduler::Consumer>>();
+  /// Bumped under mutex_ by every subscribe/register_schema/set_wire_sink,
+  /// so a worker re-reads a queue's DeliveryView only when something changed.
+  std::atomic<uint64_t> config_version_{1};
   bool stopped_ = false;
 };
 

@@ -17,22 +17,31 @@ namespace ff::stream {
 /// Releases happen at two moments: on arrival (on_item) and on punctuation
 /// (on_punctuation) — the paper's "control input (or 'data punctuation'
 /// input, signaling abstract divisions between groups of data)".
+///
+/// Records arrive and leave as RecordRefs: a policy keeps and releases the
+/// shared record, never a copy, and appends its releases to a buffer the
+/// caller owns (and reuses across calls).
 class SelectionPolicy {
  public:
   virtual ~SelectionPolicy() = default;
   virtual std::string name() const = 0;
-  /// A record arrived; return the records to forward now.
-  virtual std::vector<Record> on_item(const Record& record) = 0;
+  /// A record arrived; append the records to forward now to `released`.
+  virtual void on_item(const RecordRef& record,
+                       std::vector<RecordRef>& released) = 0;
   /// A punctuation/control mark arrived; `argument` is policy-specific.
-  virtual std::vector<Record> on_punctuation(const Json& argument) = 0;
+  virtual void on_punctuation(const Json& argument,
+                              std::vector<RecordRef>& released) = 0;
 };
 
 /// Forward every record immediately — the workflow's initial policy.
 class ForwardAllPolicy final : public SelectionPolicy {
  public:
   std::string name() const override { return "forward-all"; }
-  std::vector<Record> on_item(const Record& record) override { return {record}; }
-  std::vector<Record> on_punctuation(const Json&) override { return {}; }
+  void on_item(const RecordRef& record,
+               std::vector<RecordRef>& released) override {
+    released.push_back(record);
+  }
+  void on_punctuation(const Json&, std::vector<RecordRef>&) override {}
 };
 
 /// Keep the most recent `capacity` records; release the whole window on
@@ -41,12 +50,12 @@ class SlidingWindowCountPolicy final : public SelectionPolicy {
  public:
   explicit SlidingWindowCountPolicy(size_t capacity);
   std::string name() const override;
-  std::vector<Record> on_item(const Record& record) override;
-  std::vector<Record> on_punctuation(const Json&) override;
+  void on_item(const RecordRef& record, std::vector<RecordRef>&) override;
+  void on_punctuation(const Json&, std::vector<RecordRef>& released) override;
 
  private:
   size_t capacity_;
-  std::deque<Record> window_;
+  std::deque<RecordRef> window_;
 };
 
 /// Keep records newer than `horizon` (by record timestamp, relative to the
@@ -56,12 +65,12 @@ class SlidingWindowTimePolicy final : public SelectionPolicy {
  public:
   explicit SlidingWindowTimePolicy(double horizon);
   std::string name() const override;
-  std::vector<Record> on_item(const Record& record) override;
-  std::vector<Record> on_punctuation(const Json&) override;
+  void on_item(const RecordRef& record, std::vector<RecordRef>&) override;
+  void on_punctuation(const Json&, std::vector<RecordRef>& released) override;
 
  private:
   double horizon_;
-  std::deque<Record> window_;
+  std::deque<RecordRef> window_;
 };
 
 /// Queue everything; punctuation carries explicit selection — "direct
@@ -72,13 +81,14 @@ class DirectSelectionPolicy final : public SelectionPolicy {
  public:
   explicit DirectSelectionPolicy(size_t max_queue = 4096);
   std::string name() const override { return "direct-selection"; }
-  std::vector<Record> on_item(const Record& record) override;
-  std::vector<Record> on_punctuation(const Json& argument) override;
+  void on_item(const RecordRef& record, std::vector<RecordRef>&) override;
+  void on_punctuation(const Json& argument,
+                      std::vector<RecordRef>& released) override;
   size_t queued() const noexcept { return queue_.size(); }
 
  private:
   size_t max_queue_;
-  std::deque<Record> queue_;
+  std::deque<RecordRef> queue_;
 };
 
 /// Forward every Nth record (systematic sampling for monitoring taps).
@@ -86,8 +96,9 @@ class SampleEveryNPolicy final : public SelectionPolicy {
  public:
   explicit SampleEveryNPolicy(size_t stride);
   std::string name() const override;
-  std::vector<Record> on_item(const Record& record) override;
-  std::vector<Record> on_punctuation(const Json&) override { return {}; }
+  void on_item(const RecordRef& record,
+               std::vector<RecordRef>& released) override;
+  void on_punctuation(const Json&, std::vector<RecordRef>&) override {}
 
  private:
   size_t stride_;

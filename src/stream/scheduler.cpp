@@ -85,58 +85,69 @@ void DataScheduler::subscribe(Consumer consumer) {
 }
 
 void DataScheduler::deliver_locked(const std::string& queue,
-                                   VirtualQueue& entry,
-                                   std::vector<Record> released) {
+                                   VirtualQueue& entry) {
+  std::vector<RecordRef>& released = entry.released;
+  if (released.empty()) return;
   entry.stats.releases += released.size();
-  if (!released.empty()) {
-    obs::trace_instant("stream", "stream.release",
-                       {{"queue", queue}, {"count", released.size()}});
-  }
+  obs::trace_instant("stream", "stream.release",
+                     {{"queue", queue}, {"count", released.size()}});
   if (entry.sink) {
-    for (Record& record : released) entry.sink(queue, std::move(record));
-    return;
+    entry.sink(queue, released);
+  } else {
+    std::shared_ptr<const std::vector<Consumer>> consumers;
+    {
+      std::lock_guard lock(mutex_);
+      consumers = consumers_;
+    }
+    for (const RecordRef& record : released) {
+      for (const Consumer& consumer : *consumers) consumer(queue, *record);
+    }
   }
-  std::shared_ptr<const std::vector<Consumer>> consumers;
-  {
-    std::lock_guard lock(mutex_);
-    consumers = consumers_;
-  }
-  for (const Record& record : released) {
-    for (const Consumer& consumer : *consumers) consumer(queue, record);
+  released.clear();
+}
+
+namespace {
+
+void trace_backlog(const std::string& queue,
+                   const DataScheduler::QueueStats& stats) {
+  // Backlog = records the policy is still holding (arrived, unreleased).
+  if (obs::tracing_enabled()) {
+    obs::trace_counter("stream", "stream.queue.backlog",
+                       static_cast<double>(stats.arrivals - stats.releases),
+                       {{"queue", queue}});
   }
 }
 
+}  // namespace
+
 void DataScheduler::publish(const Record& record) {
+  const RecordRef shared = std::make_shared<const Record>(record);
   for (const auto& [name, entry] : snapshot()) {
     std::lock_guard lock(entry->mutex);
     if (!entry->active) continue;
     ++entry->stats.arrivals;
-    deliver_locked(name, *entry, entry->policy->on_item(record));
-    if (obs::tracing_enabled()) {
-      // Backlog = records the policy is still holding (arrived, unreleased).
-      obs::trace_counter(
-          "stream", "stream.queue.backlog",
-          static_cast<double>(entry->stats.arrivals - entry->stats.releases),
-          {{"queue", name}});
-    }
+    entry->policy->on_item(shared, entry->released);
+    deliver_locked(name, *entry);
+    trace_backlog(name, entry->stats);
   }
 }
 
 void DataScheduler::publish_batch(const std::vector<Record>& records) {
   if (records.empty()) return;
+  std::vector<RecordRef> shared;
+  shared.reserve(records.size());
+  for (const Record& record : records) {
+    shared.push_back(std::make_shared<const Record>(record));
+  }
   for (const auto& [name, entry] : snapshot()) {
     std::lock_guard lock(entry->mutex);
     if (!entry->active) continue;
-    for (const Record& record : records) {
+    for (const RecordRef& record : shared) {
       ++entry->stats.arrivals;
-      deliver_locked(name, *entry, entry->policy->on_item(record));
+      entry->policy->on_item(record, entry->released);
     }
-    if (obs::tracing_enabled()) {
-      obs::trace_counter(
-          "stream", "stream.queue.backlog",
-          static_cast<double>(entry->stats.arrivals - entry->stats.releases),
-          {{"queue", name}});
-    }
+    deliver_locked(name, *entry);
+    trace_backlog(name, entry->stats);
   }
 }
 
@@ -144,7 +155,8 @@ void DataScheduler::control(const std::string& queue, const Json& argument) {
   const auto entry = require(queue);
   obs::trace_instant("stream", "stream.control", {{"queue", queue}});
   std::lock_guard lock(entry->mutex);
-  deliver_locked(queue, *entry, entry->policy->on_punctuation(argument));
+  entry->policy->on_punctuation(argument, entry->released);
+  deliver_locked(queue, *entry);
 }
 
 void DataScheduler::punctuate(const Json& argument) {
@@ -152,7 +164,8 @@ void DataScheduler::punctuate(const Json& argument) {
   for (const auto& [name, entry] : snapshot()) {
     std::lock_guard lock(entry->mutex);
     if (!entry->active) continue;
-    deliver_locked(name, *entry, entry->policy->on_punctuation(argument));
+    entry->policy->on_punctuation(argument, entry->released);
+    deliver_locked(name, *entry);
   }
 }
 

@@ -28,6 +28,9 @@ class StreamPipeline;
 ///   which case its releases flow into the sink — how StreamPipeline
 ///   (stream/pipeline.hpp), which passes one to install_queue, reroutes
 ///   them into bounded channels drained by worker threads.
+/// - publish() copies the caller's record once (publish_batch() once per
+///   record) into a RecordRef that every queue shares; policies keep and
+///   release that reference, and consumers see the shared record.
 ///
 /// Thread safety: every method may be called concurrently from any thread.
 /// The queue registry is guarded by one mutex; each virtual queue has its
@@ -45,8 +48,13 @@ class StreamPipeline;
 class DataScheduler {
  public:
   using Consumer = std::function<void(const std::string& queue, const Record&)>;
-  /// Per-queue delivery override; receives releases in policy order.
-  using Sink = std::function<void(const std::string& queue, Record record)>;
+  /// Per-queue delivery override. Called at most once per queue per
+  /// publish()/publish_batch()/control()/punctuate() call, under the
+  /// queue's lock, with all of that call's releases for the queue in policy
+  /// order. The sink may move the references out; the buffer is the
+  /// scheduler's and is cleared after the call.
+  using Sink = std::function<void(const std::string& queue,
+                                  std::vector<RecordRef>& released)>;
 
   /// Install a virtual queue with a policy. Active on install. A non-null
   /// `sink` is attached atomically, so no release can slip past it.
@@ -67,9 +75,10 @@ class DataScheduler {
   void publish(const Record& record);
 
   /// Feed a run of records, in order, into all active queues. Equivalent
-  /// to publish() once per record but amortizes the registry snapshot and
-  /// the per-queue lock over the whole batch — the producer half of the
-  /// batched hot path. Per-queue policy order is the batch order.
+  /// to publish() once per record but amortizes the registry snapshot, the
+  /// per-queue lock and the delivery (one sink call per queue) over the
+  /// whole batch — the producer half of the batched hot path. Per-queue
+  /// policy order is the batch order.
   void publish_batch(const std::vector<Record>& records);
 
   /// Control-channel message for one queue (punctuation argument forwarded
@@ -91,12 +100,15 @@ class DataScheduler {
     bool active = true;
     QueueStats stats;
     Sink sink;  // fixed at install
+    /// One call's releases; reused across calls so a release allocates
+    /// nothing once the buffer has grown.
+    std::vector<RecordRef> released;
   };
   using QueueRef = std::pair<std::string, std::shared_ptr<VirtualQueue>>;
 
-  /// Releases records under entry.mutex (held by the caller).
-  void deliver_locked(const std::string& queue, VirtualQueue& entry,
-                      std::vector<Record> released);
+  /// Delivers entry.released — one call's releases — under entry.mutex
+  /// (held by the caller), then clears it.
+  void deliver_locked(const std::string& queue, VirtualQueue& entry);
   std::shared_ptr<VirtualQueue> require(const std::string& queue) const;
   std::vector<QueueRef> snapshot() const;
 

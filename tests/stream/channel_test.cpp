@@ -269,6 +269,42 @@ TEST_P(ChannelApi, DrainIntoUnblocksWaitingProducer) {
   EXPECT_TRUE(second_sent.load());
 }
 
+TEST_P(ChannelApi, TrySendBatchTakesTheLongestPrefixThatFits) {
+  auto channel = make(4);
+  std::vector<Record> burst;
+  for (uint64_t i = 1; i <= 6; ++i) burst.push_back(record_at(i));
+  EXPECT_EQ(channel->try_send_batch(burst.data(), burst.size()), 4u);
+  EXPECT_EQ(channel->size(), 4u);
+  EXPECT_EQ(channel->try_send_batch(burst.data() + 4, 2), 0u);  // full
+  EXPECT_FALSE(channel->closed());
+  EXPECT_EQ(channel->receive()->sequence, 1u);
+  EXPECT_EQ(channel->try_send_batch(burst.data() + 4, 2), 1u);
+  std::vector<Record> out;
+  EXPECT_EQ(channel->drain_into(out, 8), 4u);
+  ASSERT_EQ(out.size(), 4u);
+  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].sequence, i + 2);
+  EXPECT_EQ(channel->sent(), 5u);
+  channel->close();
+  EXPECT_EQ(channel->try_send_batch(burst.data() + 5, 1), 0u);  // closed
+  EXPECT_TRUE(channel->closed());
+  EXPECT_EQ(channel->sent(), channel->received());
+}
+
+TEST_P(ChannelApi, RecordRefChannelSharesTheRecord) {
+  // The plane's edges carry references: what comes out is the very record
+  // that went in, whichever implementation carries it.
+  auto channel = make_channel<RecordRef>(GetParam(), 4);
+  const RecordRef shared = std::make_shared<const Record>(record_at(7));
+  EXPECT_TRUE(channel->send(shared));
+  std::vector<RecordRef> refs = {shared, shared};
+  EXPECT_EQ(channel->try_send_batch(refs.data(), refs.size()), 2u);
+  std::vector<RecordRef> out;
+  EXPECT_EQ(channel->drain_into(out, 8), 3u);
+  for (const RecordRef& ref : out) EXPECT_EQ(ref.get(), shared.get());
+  out.clear();
+  EXPECT_EQ(shared.use_count(), 1);  // the channel kept no reference
+}
+
 TEST_P(ChannelApi, WaiterCountsReflectBlockedThreads) {
   auto channel = make(1);
   EXPECT_EQ(channel->send_waiters(), 0u);

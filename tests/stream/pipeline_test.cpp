@@ -12,6 +12,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,14 +37,24 @@ Record record_at(uint64_t sequence) {
 class MarkerPolicy final : public SelectionPolicy {
  public:
   std::string name() const override { return "marker"; }
-  std::vector<Record> on_item(const Record& record) override { return {record}; }
-  std::vector<Record> on_punctuation(const Json&) override {
-    return {record_at(kMarkerBase + count_++)};
+  void on_item(const RecordRef& record,
+               std::vector<RecordRef>& released) override {
+    released.push_back(record);
+  }
+  void on_punctuation(const Json&, std::vector<RecordRef>& released) override {
+    released.push_back(
+        std::make_shared<const Record>(record_at(kMarkerBase + count_++)));
   }
 
  private:
   uint64_t count_ = 0;
 };
+
+std::vector<Record> records_from(uint64_t first, uint64_t count) {
+  std::vector<Record> records;
+  for (uint64_t i = first; i < first + count; ++i) records.push_back(record_at(i));
+  return records;
+}
 
 /// Thread-safe per-queue capture of delivery order.
 struct Collector {
@@ -274,6 +285,246 @@ TEST(StreamPipeline, ConsumerMaySteerAnotherQueue) {
   EXPECT_EQ(flushed.load(), 100u) << "flush must release the full backlog";
 }
 
+TEST(StreamPipeline, SteeringConsumerFlushesIntoAFullQueueAtAnyWorkerCount) {
+  // The steering consumer above, against a 4-record archive: the flush
+  // releases 100 records into an edge that holds 4, from a consumer running
+  // on a plane worker. The worker that empties the archive may be that very
+  // thread (always so with one worker), so a publisher that parked on the
+  // full edge would never wake; the test's ctest timeout turns that hang
+  // into a failure.
+  for (size_t workers : {1u, 2u, 4u}) {
+    StreamPipeline pipeline(workers);
+    std::atomic<uint64_t> raw_seen{0};
+    Collector archive;
+    pipeline.subscribe([&](const std::string& queue, const Record& record) {
+      if (queue == "archive") {
+        std::lock_guard lock(archive.mutex);
+        archive.order[queue].push_back(record.sequence);
+        return;
+      }
+      if (raw_seen.fetch_add(1, std::memory_order_relaxed) + 1 == 100) {
+        Json flush = Json::object();
+        flush["flush"] = Json(true);
+        pipeline.control("archive", flush);
+      }
+    });
+    pipeline.install_queue("raw", std::make_unique<SampleEveryNPolicy>(1));
+    pipeline.install_queue("archive", std::make_unique<DirectSelectionPolicy>(),
+                           {.capacity = 4});
+    for (uint64_t i = 0; i < 100; ++i) pipeline.publish(record_at(i));
+    pipeline.wait_quiescent();
+    pipeline.shutdown();
+
+    EXPECT_EQ(raw_seen.load(), 100u) << "workers=" << workers;
+    std::vector<uint64_t> expected(100);
+    for (uint64_t i = 0; i < 100; ++i) expected[i] = i;
+    EXPECT_EQ(archive.sequence("archive"), expected) << "workers=" << workers;
+    EXPECT_EQ(pipeline.report("archive").dropped, 0u);
+  }
+}
+
+// --- batched publish against the delivery contract --------------------------
+
+TEST(StreamPipeline, PublishBatchLargerThanABlockQueueIsLosslessAndOrdered) {
+  // One publish_batch call hands a 4-record block queue 300 records: the
+  // publisher pushes what fits, schedules the drain, and blocks for room,
+  // repeatedly, within the one call.
+  for (size_t workers : {1u, 2u, 4u}) {
+    StreamPipeline pipeline(workers);
+    Collector collector;
+    pipeline.subscribe(collector.consumer());
+    for (ChannelKind kind :
+         {ChannelKind::Mutex, ChannelKind::Spsc, ChannelKind::Mpmc}) {
+      pipeline.install_queue(channel_kind_name(kind),
+                             std::make_unique<ForwardAllPolicy>(),
+                             {.capacity = 4, .batch = 3, .channel = kind});
+    }
+    pipeline.publish_batch(records_from(0, 300));
+    pipeline.publish_batch(records_from(300, 100));
+    pipeline.wait_quiescent();
+    std::vector<uint64_t> expected(400);
+    for (uint64_t i = 0; i < 400; ++i) expected[i] = i;
+    for (ChannelKind kind :
+         {ChannelKind::Mutex, ChannelKind::Spsc, ChannelKind::Mpmc}) {
+      const std::string queue = channel_kind_name(kind);
+      EXPECT_EQ(collector.sequence(queue), expected)
+          << "workers=" << workers << " channel=" << queue;
+      const auto report = pipeline.report(queue);
+      EXPECT_EQ(report.released, 400u);
+      EXPECT_EQ(report.delivered, 400u);
+      EXPECT_EQ(report.dropped, 0u);
+    }
+  }
+}
+
+struct LossyOutcome {
+  std::vector<uint64_t> delivered;
+  uint64_t dropped = 0;
+  uint64_t released = 0;
+  bool operator==(const LossyOutcome&) const = default;
+};
+
+/// Feeds 100 records into a lossy 8-record queue while the plane's only
+/// worker is held inside a consumer, so no drain races the evictions: the
+/// outcome is then a function of the overflow policy alone, whether the
+/// records arrive in one publish_batch or one publish() each.
+LossyOutcome run_held_lossy(Overflow overflow, ChannelKind kind, bool batched) {
+  constexpr uint64_t kPlug = 1'000'000;
+  StreamPipeline pipeline(1);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  Collector collector;
+  pipeline.subscribe([&](const std::string& queue, const Record& record) {
+    if (record.sequence == kPlug) {
+      held.store(true);
+      while (!release.load()) std::this_thread::yield();
+      return;
+    }
+    std::lock_guard lock(collector.mutex);
+    collector.order[queue].push_back(record.sequence);
+  });
+  pipeline.install_queue("tap", std::make_unique<ForwardAllPolicy>(),
+                         {.capacity = 8, .overflow = overflow, .batch = 1,
+                          .channel = kind});
+  pipeline.publish(record_at(kPlug));
+  while (!held.load()) std::this_thread::yield();
+  const std::vector<Record> burst = records_from(0, 100);
+  if (batched) {
+    pipeline.publish_batch(burst);
+  } else {
+    for (const Record& record : burst) pipeline.publish(record);
+  }
+  release.store(true);
+  pipeline.wait_quiescent();
+  const auto report = pipeline.report("tap");
+  EXPECT_EQ(report.released, report.delivered + report.dropped);
+  return {collector.sequence("tap"), report.dropped, report.released};
+}
+
+TEST(StreamPipeline, PublishBatchMatchesPerRecordPublish) {
+  StreamPipeline pipeline(1);
+  Collector collector;
+  pipeline.subscribe(collector.consumer());
+  pipeline.install_queue("q", std::make_unique<SampleEveryNPolicy>(3),
+                         {.capacity = 64});
+  std::vector<Record> burst;
+  for (uint64_t i = 0; i < 90; ++i) burst.push_back(record_at(i));
+  pipeline.publish_batch(burst);
+  pipeline.wait_quiescent();
+  const auto observed = collector.sequence("q");
+  ASSERT_EQ(observed.size(), 30u);  // stride 3 over 90
+  for (size_t i = 0; i < observed.size(); ++i) {
+    EXPECT_EQ(observed[i], i * 3);
+  }
+  EXPECT_EQ(pipeline.scheduler().stats("q").arrivals, 90u);
+
+  // Lossy edges fed by one batch evict exactly what per-record publishes
+  // evict, on every channel kind.
+  for (Overflow overflow : {Overflow::DropOldest, Overflow::KeepLatest}) {
+    for (ChannelKind kind :
+         {ChannelKind::Mutex, ChannelKind::Spsc, ChannelKind::Mpmc}) {
+      const LossyOutcome batched = run_held_lossy(overflow, kind, true);
+      const LossyOutcome single = run_held_lossy(overflow, kind, false);
+      EXPECT_EQ(batched, single)
+          << overflow_name(overflow) << " " << channel_kind_name(kind);
+      EXPECT_EQ(batched.released, 101u);  // the held record + 100
+      EXPECT_GT(batched.dropped, 0u);
+    }
+  }
+  // The two policies shed differently: drop-oldest keeps the newest 8,
+  // keep-latest the records since its last conflation.
+  const LossyOutcome oldest =
+      run_held_lossy(Overflow::DropOldest, ChannelKind::Spsc, true);
+  const LossyOutcome latest =
+      run_held_lossy(Overflow::KeepLatest, ChannelKind::Spsc, true);
+  EXPECT_EQ(oldest.delivered, (std::vector<uint64_t>{92, 93, 94, 95, 96, 97, 98, 99}));
+  EXPECT_EQ(oldest.dropped, 92u);
+  EXPECT_EQ(latest.delivered, (std::vector<uint64_t>{96, 97, 98, 99}));
+  EXPECT_EQ(latest.dropped, 96u);
+}
+
+TEST(StreamPipeline, RemoveQueueRacingPublishBatch) {
+  // A publisher streams 64-record batches while another thread installs
+  // and removes block queues under it: a removed queue's blocked publisher
+  // wakes rejected, and the stable queue stays lossless and ordered.
+  StreamPipeline pipeline(2);
+  Collector collector;
+  pipeline.subscribe(collector.consumer());
+  pipeline.install_queue("stable", std::make_unique<ForwardAllPolicy>(),
+                         {.capacity = 16});
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> published{0};
+  std::thread publisher([&] {
+    for (uint64_t next = 0; !stop.load(std::memory_order_relaxed); next += 64) {
+      pipeline.publish_batch(records_from(next, 64));
+      published.store(next + 64, std::memory_order_relaxed);
+    }
+  });
+  constexpr int kRounds = 40;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string name = "dyn" + std::to_string(round);
+    pipeline.install_queue(name, std::make_unique<ForwardAllPolicy>(),
+                           {.capacity = 8, .channel = round % 2 == 0
+                                                         ? ChannelKind::Spsc
+                                                         : ChannelKind::Mutex});
+    std::this_thread::sleep_for(200us);
+    pipeline.remove_queue(name);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  publisher.join();
+  pipeline.wait_quiescent();
+
+  const auto stable = collector.sequence("stable");
+  ASSERT_EQ(stable.size(), published.load());
+  for (uint64_t i = 0; i < stable.size(); ++i) ASSERT_EQ(stable[i], i);
+  const auto report = pipeline.report("stable");
+  EXPECT_EQ(report.released, report.delivered);
+  EXPECT_EQ(report.dropped, 0u);
+  for (int round = 0; round < kRounds; ++round) {
+    const auto dyn = collector.sequence("dyn" + std::to_string(round));
+    EXPECT_TRUE(std::is_sorted(dyn.begin(), dyn.end())) << "round " << round;
+  }
+}
+
+TEST(StreamPipeline, ShutdownRacingPublishBatch) {
+  // shutdown() lands while a publisher is mid-stream: every record is
+  // either delivered (in order) or counted as dropped, never lost, and the
+  // publisher's later batches are rejected rather than blocking forever.
+  for (size_t workers : {1u, 2u, 4u}) {
+    StreamPipeline pipeline(workers);
+    Collector collector;
+    pipeline.subscribe(collector.consumer());
+    for (const char* name : {"a", "b"}) {
+      pipeline.install_queue(name, std::make_unique<ForwardAllPolicy>(),
+                             {.capacity = 8});
+    }
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> batches{0};
+    std::thread publisher([&] {
+      for (uint64_t next = 0; !stop.load(std::memory_order_relaxed); next += 64) {
+        pipeline.publish_batch(records_from(next, 64));
+        batches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    // Land the shutdown mid-stream: after a few batches went through.
+    while (batches.load(std::memory_order_relaxed) < 4) std::this_thread::yield();
+    pipeline.shutdown();
+    stop.store(true, std::memory_order_relaxed);
+    publisher.join();
+
+    for (const char* name : {"a", "b"}) {
+      const auto report = pipeline.report(name);
+      const auto observed = collector.sequence(name);
+      EXPECT_GT(report.released, 0u) << "workers=" << workers;
+      EXPECT_EQ(report.released, report.delivered + report.dropped)
+          << "workers=" << workers << " queue=" << name;
+      EXPECT_EQ(report.depth, 0u);
+      EXPECT_EQ(observed.size(), report.delivered);
+      for (uint64_t i = 0; i < observed.size(); ++i) ASSERT_EQ(observed[i], i);
+    }
+  }
+}
+
 // --- shutdown and lifecycle -----------------------------------------------
 
 TEST(StreamPipeline, ShutdownDrainsChannelsBeforeJoining) {
@@ -425,24 +676,6 @@ TEST(StreamPipeline, EveryTransportComboDeliversEverything) {
       EXPECT_EQ(pipeline.report("q").delivered, 300u);
     }
   }
-}
-
-TEST(StreamPipeline, PublishBatchMatchesPerRecordPublish) {
-  StreamPipeline pipeline(1);
-  Collector collector;
-  pipeline.subscribe(collector.consumer());
-  pipeline.install_queue("q", std::make_unique<SampleEveryNPolicy>(3),
-                         {.capacity = 64});
-  std::vector<Record> burst;
-  for (uint64_t i = 0; i < 90; ++i) burst.push_back(record_at(i));
-  pipeline.publish_batch(burst);
-  pipeline.wait_quiescent();
-  const auto observed = collector.sequence("q");
-  ASSERT_EQ(observed.size(), 30u);  // stride 3 over 90
-  for (size_t i = 0; i < observed.size(); ++i) {
-    EXPECT_EQ(observed[i], i * 3);
-  }
-  EXPECT_EQ(pipeline.scheduler().stats("q").arrivals, 90u);
 }
 
 StreamSchema sequence_schema() {

@@ -15,6 +15,22 @@ Record record_at(uint64_t sequence, double timestamp = 0) {
   return record;
 }
 
+/// The policy's releases for one arrival / one punctuation mark, through
+/// the append-style call shape.
+std::vector<RecordRef> item_releases(SelectionPolicy& policy,
+                                     const Record& record) {
+  std::vector<RecordRef> released;
+  policy.on_item(std::make_shared<const Record>(record), released);
+  return released;
+}
+
+std::vector<RecordRef> punctuation_releases(SelectionPolicy& policy,
+                                            const Json& argument) {
+  std::vector<RecordRef> released;
+  policy.on_punctuation(argument, released);
+  return released;
+}
+
 struct Capture {
   std::vector<std::pair<std::string, uint64_t>> deliveries;
   DataScheduler::Consumer consumer() {
@@ -26,67 +42,73 @@ struct Capture {
 
 TEST(Policies, ForwardAllReleasesImmediately) {
   ForwardAllPolicy policy;
-  EXPECT_EQ(policy.on_item(record_at(1)).size(), 1u);
-  EXPECT_TRUE(policy.on_punctuation(Json::object()).empty());
+  EXPECT_EQ(item_releases(policy, record_at(1)).size(), 1u);
+  EXPECT_TRUE(punctuation_releases(policy, Json::object()).empty());
+  // The release is the arriving record itself, not a copy.
+  const RecordRef shared = std::make_shared<const Record>(record_at(2));
+  std::vector<RecordRef> released;
+  policy.on_item(shared, released);
+  ASSERT_EQ(released.size(), 1u);
+  EXPECT_EQ(released[0].get(), shared.get());
 }
 
 TEST(Policies, SlidingWindowCountKeepsLastN) {
   SlidingWindowCountPolicy policy(3);
   for (uint64_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(policy.on_item(record_at(i)).empty());
+    EXPECT_TRUE(item_releases(policy, record_at(i)).empty());
   }
-  const auto window = policy.on_punctuation(Json::object());
+  const auto window = punctuation_releases(policy, Json::object());
   ASSERT_EQ(window.size(), 3u);
-  EXPECT_EQ(window[0].sequence, 2u);
-  EXPECT_EQ(window[2].sequence, 4u);
+  EXPECT_EQ(window[0]->sequence, 2u);
+  EXPECT_EQ(window[2]->sequence, 4u);
   EXPECT_THROW(SlidingWindowCountPolicy(0), ValidationError);
 }
 
 TEST(Policies, SlidingWindowTimeEvictsOldRecords) {
   SlidingWindowTimePolicy policy(10.0);
-  policy.on_item(record_at(0, 0.0));
-  policy.on_item(record_at(1, 5.0));
-  policy.on_item(record_at(2, 16.0));  // evicts t=0 and t=5
-  const auto window = policy.on_punctuation(Json::object());
+  item_releases(policy, record_at(0, 0.0));
+  item_releases(policy, record_at(1, 5.0));
+  item_releases(policy, record_at(2, 16.0));  // evicts t=0 and t=5
+  const auto window = punctuation_releases(policy, Json::object());
   ASSERT_EQ(window.size(), 1u);
-  EXPECT_EQ(window[0].sequence, 2u);
+  EXPECT_EQ(window[0]->sequence, 2u);
   EXPECT_THROW(SlidingWindowTimePolicy(0), ValidationError);
 }
 
 TEST(Policies, DirectSelectionByPunctuation) {
   DirectSelectionPolicy policy;
-  for (uint64_t i = 0; i < 6; ++i) policy.on_item(record_at(i));
+  for (uint64_t i = 0; i < 6; ++i) item_releases(policy, record_at(i));
   EXPECT_EQ(policy.queued(), 6u);
 
   Json select = Json::object();
   select["select"] = Json::array({Json(4), Json(1), Json(99)});
-  const auto released = policy.on_punctuation(select);
+  const auto released = punctuation_releases(policy, select);
   ASSERT_EQ(released.size(), 2u);  // 99 not present
-  EXPECT_EQ(released[0].sequence, 4u);
-  EXPECT_EQ(released[1].sequence, 1u);
+  EXPECT_EQ(released[0]->sequence, 4u);
+  EXPECT_EQ(released[1]->sequence, 1u);
   EXPECT_EQ(policy.queued(), 4u);  // selected records left the queue
 
   Json drop = Json::object();
   drop["drop_before"] = 3;
-  policy.on_punctuation(drop);
+  punctuation_releases(policy, drop);
   EXPECT_EQ(policy.queued(), 2u);  // 3 and 5 remain
 
   Json flush = Json::object();
   flush["flush"] = true;
-  EXPECT_EQ(policy.on_punctuation(flush).size(), 2u);
+  EXPECT_EQ(punctuation_releases(policy, flush).size(), 2u);
   EXPECT_EQ(policy.queued(), 0u);
 }
 
 TEST(Policies, DirectSelectionBoundsItsQueue) {
   DirectSelectionPolicy policy(4);
-  for (uint64_t i = 0; i < 10; ++i) policy.on_item(record_at(i));
+  for (uint64_t i = 0; i < 10; ++i) item_releases(policy, record_at(i));
   EXPECT_EQ(policy.queued(), 4u);  // oldest dropped
 }
 
 TEST(Policies, SampleEveryN) {
   SampleEveryNPolicy policy(3);
   size_t taken = 0;
-  for (uint64_t i = 0; i < 9; ++i) taken += policy.on_item(record_at(i)).size();
+  for (uint64_t i = 0; i < 9; ++i) taken += item_releases(policy, record_at(i)).size();
   EXPECT_EQ(taken, 3u);
   EXPECT_THROW(SampleEveryNPolicy(0), ValidationError);
 }
